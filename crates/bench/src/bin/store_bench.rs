@@ -6,12 +6,10 @@
 //! the *same* contended closed-loop workload on a fresh data directory
 //! per cell, so the only variable is where the ack barrier sits. Each
 //! cell records with runtime telemetry enabled: the durability wait is
-//! attributed by phase histogram — `log_wait` on the threaded front end
-//! (one barrier per mutating ack) or `coalesce` on the reactor front
-//! end (one barrier per reply flush, covering the whole burst) — and
-//! the server's WAL counters report the fsync amortization
-//! (`syncs / committed top`). Every cell's history
-//! is fetched and certified (Theorem 17) and every cell's data dir is
+//! attributed by the `coalesce` phase histogram (one barrier per reply
+//! flush, covering the whole burst), and the server's WAL counters
+//! report the fsync amortization (`syncs / committed top`). Every cell's
+//! history is fetched and certified (Theorem 17) and every cell's data dir is
 //! reopened afterward to prove the recovery path certifies what the
 //! load left behind. Results land in `BENCH_store.json`.
 //!

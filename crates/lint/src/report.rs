@@ -1,6 +1,7 @@
 //! Findings and reports: the common currency of every lint pass, plus
 //! human-readable and JSON rendering.
 
+use nt_obs::json::escape_str;
 use std::fmt;
 
 /// How bad a finding is.
@@ -127,18 +128,21 @@ impl Report {
         out
     }
 
-    /// Render as a JSON document (no external dependencies, hence
-    /// hand-assembled; the escaping below covers everything our messages
-    /// can contain).
+    /// Render as a JSON document (hand-assembled, one finding per line).
     pub fn render_json(&self) -> String {
+        let quoted = |s: &str| {
+            let mut q = String::with_capacity(s.len() + 2);
+            escape_str(s, &mut q);
+            q
+        };
         let mut out = String::from("{\n  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"severity\": \"{}\", \"pass\": \"{}\", \"subject\": \"{}\", \"message\": \"{}\"}}{}\n",
+                "    {{\"severity\": \"{}\", \"pass\": {}, \"subject\": {}, \"message\": {}}}{}\n",
                 f.severity.label(),
-                json_escape(f.pass),
-                json_escape(&f.subject),
-                json_escape(&f.message),
+                quoted(f.pass),
+                quoted(&f.subject),
+                quoted(&f.message),
                 if i + 1 < self.findings.len() { "," } else { "" }
             ));
         }
@@ -150,23 +154,6 @@ impl Report {
         ));
         out
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -188,12 +175,6 @@ mod tests {
         assert_eq!(r.exit_code(), 1);
         assert_eq!(r.errors(), 1);
         assert_eq!(r.warnings(), 1);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -76,8 +76,8 @@ fn cli_rejects_the_batch_framing_fixture() {
 
 #[test]
 fn cli_rejects_the_reactor_knob_fixture() {
-    // A server config pairing the threaded frontend with a worker pool
-    // (a reactor-only knob) and oversubscribing it: both rules must fire.
+    // A server config asking for the removed threaded front end and the
+    // removed fixed worker pool: the document no longer parses.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/malformed.reactor.net.json"
@@ -89,11 +89,17 @@ fn cli_rejects_the_reactor_knob_fixture() {
     assert_eq!(
         out.status.code(),
         Some(1),
-        "bad reactor knobs must fail the net pass"
+        "retired front-end knobs must fail the net pass"
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("oversubscribes"), "{stdout}");
-    assert!(stdout.contains("reactor knob"), "{stdout}");
+    assert!(
+        stdout.contains("not a valid net config document"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("threaded front end was removed"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -149,5 +155,9 @@ fn committed_fixture_matches_the_library_verdict() {
         .iter()
         .filter(|f| f.severity == Severity::Error)
         .collect();
-    assert_eq!(errors.len(), 2, "{errors:?}");
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(
+        errors[0].message.contains("threaded front end was removed"),
+        "{errors:?}"
+    );
 }

@@ -6,7 +6,6 @@
 //!          [--port-file FILE] [--journal FILE] [--static-gate]
 //!          [--metrics-out FILE] [--trace-out FILE] [--live-certify]
 //!          [--data-dir DIR] [--durability none|fsync|group:WINDOW_US]
-//!          [--reactor | --threaded] [--workers N]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), prints `nt-serve listening on ADDR`,
@@ -39,14 +38,10 @@
 //! barrier (default `none`): `fsync` fsyncs before every mutating ack,
 //! `group:250` runs a 250 µs group-commit flusher.
 //!
-//! `--reactor` (the default) serves connections from the readiness-based
-//! `nt-reactor` event loop: one nonblocking poller thread multiplexes
-//! every socket and a per-connection executor runs the engine work, so
-//! replies coalesce and one durability barrier covers a whole batch.
-//! `--threaded` restores the legacy connection-per-thread front end for
-//! differential testing. `--workers N` (reactor only) switches the
-//! executors to a fixed pool of N shards — an experiment knob; the
-//! per-connection default is required for liveness under lock conflicts.
+//! Connections are served from the readiness-based `nt-reactor` event
+//! loop: one nonblocking poller thread multiplexes every socket and a
+//! per-connection executor runs the engine work, so replies coalesce and
+//! one durability barrier covers a whole batch.
 //!
 //! `SIGTERM`/`SIGINT` initiate the same graceful drain as a wire
 //! `Shutdown`: in-flight work finishes, the store rotates into a fresh
@@ -57,7 +52,7 @@
 //! reader never observes a torn snapshot.
 
 use nt_engine::DurabilityMode;
-use nt_net::{Frontend, NetConfig, NetServer, ServerConfig};
+use nt_net::{NetConfig, NetServer, ServerConfig};
 use nt_obs::json::JsonObj;
 use nt_store::write_atomic;
 use std::path::Path;
@@ -66,7 +61,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync|group:WINDOW_US] [--reactor | --threaded] [--workers N]"
+        "usage: nt-serve [--config FILE.net.json] [--addr HOST:PORT] [--port-file FILE] [--journal FILE] [--static-gate] [--metrics-out FILE] [--trace-out FILE] [--live-certify] [--data-dir DIR] [--durability none|fsync|group:WINDOW_US]"
     );
     ExitCode::from(2)
 }
@@ -96,8 +91,6 @@ fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut data_dir: Option<String> = None;
     let mut durability: Option<DurabilityMode> = None;
-    let mut frontend: Option<Frontend> = None;
-    let mut workers: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -175,27 +168,6 @@ fn main() -> ExitCode {
                 data_dir = Some(d.clone());
                 i += 2;
             }
-            "--reactor" => {
-                frontend = Some(Frontend::Reactor);
-                i += 1;
-            }
-            "--threaded" => {
-                frontend = Some(Frontend::Threaded);
-                i += 1;
-            }
-            "--workers" => {
-                let Some(n) = args.get(i + 1) else {
-                    return usage();
-                };
-                match n.parse() {
-                    Ok(n) => workers = Some(n),
-                    Err(_) => {
-                        eprintln!("nt-serve: bad worker count {n:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
             "--durability" => {
                 let Some(m) = args.get(i + 1) else {
                     return usage();
@@ -223,12 +195,6 @@ fn main() -> ExitCode {
     }
     if let Some(m) = durability {
         cfg.durability = m;
-    }
-    if let Some(f) = frontend {
-        cfg.frontend = f;
-    }
-    if let Some(w) = workers {
-        cfg.workers = w;
     }
     if metrics_out.is_some() || trace_out.is_some() {
         // A traced server should also report SGT health: the live

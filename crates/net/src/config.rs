@@ -17,40 +17,6 @@ use nt_obs::json::{Json, JsonObj};
 /// The schema identifier embedded in every `*.net.json` document.
 pub const SCHEMA_ID: &str = "nt-net-config-v1";
 
-/// Which server front end frames sockets and schedules request execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// The readiness-based reactor (nt-reactor): one poll loop owns every
-    /// socket, a small worker pool executes, replies coalesce. The
-    /// default — it scales monotonically with connections.
-    #[default]
-    Reactor,
-    /// The legacy connection-per-thread front end (two threads per
-    /// connection), kept for differential testing against the reactor.
-    Threaded,
-}
-
-impl Frontend {
-    /// The config-file tag.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Frontend::Reactor => "reactor",
-            Frontend::Threaded => "threaded",
-        }
-    }
-
-    /// Parse a config-file tag.
-    pub fn from_tag(tag: &str) -> Result<Frontend, String> {
-        match tag {
-            "reactor" => Ok(Frontend::Reactor),
-            "threaded" => Ok(Frontend::Threaded),
-            other => Err(format!(
-                "unknown frontend {other:?} (expected \"reactor\" or \"threaded\")"
-            )),
-        }
-    }
-}
-
 /// Server-role settings.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServerConfig {
@@ -99,16 +65,6 @@ pub struct ServerConfig {
     /// When to acknowledge relative to the fsync: never wait, fsync per
     /// commit, or group-commit batching. Requires `data_dir`.
     pub durability: DurabilityMode,
-    /// Which front end serves connections (reactor by default; the
-    /// threaded path is kept for differential testing).
-    pub frontend: Frontend,
-    /// Reactor executor model. `0` (default): one executor thread per
-    /// connection — required for liveness, since request execution can
-    /// block on another connection's lock. `N > 0`: a fixed pool of `N`
-    /// workers sharded by connection id — fewer threads, but a blocked
-    /// lock waiter can starve the lock holder queued on its shard
-    /// (experiments only). Ignored by the threaded front end.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -129,8 +85,6 @@ impl Default for ServerConfig {
             drain_timeout_ms: 10_000,
             data_dir: None,
             durability: DurabilityMode::None,
-            frontend: Frontend::default(),
-            workers: 0,
         }
     }
 }
@@ -285,15 +239,6 @@ impl ServerConfig {
                 self.durability
             ));
         }
-        if self.workers > 64 {
-            out.push(format!(
-                "workers {} oversubscribes any plausible host (cap 64)",
-                self.workers
-            ));
-        }
-        if self.frontend == Frontend::Threaded && self.workers != 0 {
-            out.push("workers is a reactor knob; the threaded frontend ignores it".to_string());
-        }
         out
     }
 
@@ -313,9 +258,7 @@ impl ServerConfig {
             .num("span_ring", self.span_ring as u64)
             .bool("live_certify", self.live_certify)
             .num("metrics_period_ms", self.metrics_period_ms)
-            .num("drain_timeout_ms", self.drain_timeout_ms)
-            .str("frontend", self.frontend.tag())
-            .num("workers", self.workers as u64);
+            .num("drain_timeout_ms", self.drain_timeout_ms);
         if let Some(plan) = &self.fault {
             o.raw("fault", plan.to_json());
         }
@@ -476,13 +419,18 @@ impl NetConfig {
                             );
                         }
                         "group_commit_window_us" => group_window = Some(num_field(val, key)?),
+                        // Retired knobs: older documents spell out the only
+                        // surviving values, so those still load.
                         "frontend" => {
-                            c.frontend = Frontend::from_tag(
-                                val.as_str()
-                                    .ok_or_else(|| "frontend must be a string".to_string())?,
-                            )?;
+                            if val.as_str() != Some("reactor") {
+                                return Err("frontend: the threaded front end was removed; \"reactor\" is the only value".to_string());
+                            }
                         }
-                        "workers" => c.workers = num_field(val, key)? as usize,
+                        "workers" => {
+                            if num_field(val, key)? != 0 {
+                                return Err("workers: the reactor's fixed worker pool was removed (one executor per connection); 0 is the only value".to_string());
+                            }
+                        }
                         other => return Err(format!("unknown net server config key {other:?}")),
                     }
                 }
@@ -570,8 +518,6 @@ mod tests {
             drain_timeout_ms: 5_000,
             data_dir: Some("/tmp/nt-data".to_string()),
             durability: DurabilityMode::GroupCommit { window_us: 250 },
-            frontend: Frontend::Threaded,
-            workers: 0,
             ..ServerConfig::default()
         };
         match NetConfig::from_json(&s.to_json()).expect("server roundtrip") {
@@ -641,24 +587,38 @@ mod tests {
         assert!(probs.iter().any(|p| p.contains("rate_tps")), "{probs:?}");
         assert!(probs.iter().any(|p| p.contains("batch")), "{probs:?}");
 
-        let s = ServerConfig {
-            frontend: Frontend::Threaded,
-            workers: 4,
-            ..ServerConfig::default()
-        };
-        let probs = s.problems();
-        assert!(probs.iter().any(|p| p.contains("workers")), "{probs:?}");
-        let s = ServerConfig {
-            workers: 100,
-            ..ServerConfig::default()
-        };
-        let probs = s.problems();
-        assert!(
-            probs.iter().any(|p| p.contains("oversubscribes")),
-            "{probs:?}"
-        );
         assert!(LoadConfig::default().problems().is_empty());
         assert!(ServerConfig::default().problems().is_empty());
+    }
+
+    #[test]
+    fn committed_bench_configs_load_and_retired_knobs_are_refused() {
+        for doc in [
+            include_str!("../../../ntbench/config/hot.server.net.json"),
+            include_str!("../../../ntbench/config/durable.server.net.json"),
+        ] {
+            // The durable config's data_dir comes from the command line.
+            let cfg = NetConfig::from_json(doc).expect("bench server config parses");
+            assert!(matches!(cfg, NetConfig::Server(_)), "{cfg:?}");
+        }
+        // The retired keys are accepted only with their surviving values,
+        // and never written back out.
+        let ok = NetConfig::from_json(r#"{"role":"server","frontend":"reactor","workers":0}"#)
+            .expect("surviving values load");
+        assert_eq!(ok, NetConfig::Server(ServerConfig::default()));
+        let json = ServerConfig::default().to_json();
+        assert!(
+            !json.contains("frontend") && !json.contains("workers"),
+            "{json}"
+        );
+        for doc in [
+            r#"{"role":"server","frontend":"threaded"}"#,
+            r#"{"role":"server","frontend":7}"#,
+            r#"{"role":"server","workers":2}"#,
+        ] {
+            let err = NetConfig::from_json(doc).expect_err("retired value rejected");
+            assert!(err.contains("was removed"), "{err}");
+        }
     }
 
     #[test]

@@ -1,24 +1,25 @@
-//! The reactor front end's per-connection protocol service.
+//! The server's per-connection protocol service.
 //!
 //! `nt_reactor` owns the sockets (one poll thread, all reads and writes)
-//! and a small worker pool; this module supplies the [`Service`] each
-//! accepted connection runs on its worker. The service is the moral
-//! equivalent of the threaded front end's executor thread — it owns the
-//! connection's [`Session`], its per-`seq` exactly-once cache, and its
-//! open-top ledger — but replies are *buffered*, not written: every
-//! reply (single responses, `BATCH_RESP` frames, protocol errors, the
-//! `Shutdown` ack) is appended to one `pending` buffer in execution
-//! order, and emitted in a single [`ReplySink::send`] when the worker's
-//! queue runs dry ([`Service::flush`]). That flush is also the
-//! group-commit point: mutating ops journal their cached responses
-//! eagerly but the `wait_durable` barrier is paid once per flush,
-//! covering every frame of the burst (the `coalesce` telemetry phase).
+//! and runs one executor thread per connection; this module supplies the
+//! [`Service`] that executor runs. The service owns the connection's
+//! [`Session`], its per-`seq` exactly-once cache, and its open-top ledger,
+//! and it applies the deterministic transport fault plan (drop /
+//! duplicate / delay, keyed on the connection's own frame counter).
+//! Replies are *buffered*, not written: every reply (single responses,
+//! `BATCH_RESP` frames, protocol errors, the `Shutdown` ack) is appended
+//! to one `pending` buffer in execution order, and emitted in a single
+//! [`ReplySink::send`] when the executor's queue runs dry
+//! ([`Service::flush`]). That flush is also the group-commit point:
+//! mutating ops journal their cached responses eagerly but the
+//! `wait_durable` barrier is paid once per flush, covering every frame of
+//! the burst (the `coalesce` telemetry phase).
 //!
 //! Routing everything through the single pending buffer is what keeps
 //! the per-connection reply order equal to the execution order — the
 //! reactor coalesces *when* bytes hit the wire, never their order — so
-//! the engine's stamp order (what the certifier consumes) is identical
-//! to the threaded front end's.
+//! the engine's stamp order (what the certifier consumes) follows each
+//! connection's arrival order.
 
 use crate::server::{answer_batch, answer_op, count_answer, pay_durability, Shared};
 use crate::wire::{
@@ -66,7 +67,7 @@ impl ServiceFactory for ReactorFactory {
     }
 }
 
-/// One decoded request frame (the worker-side unit of execution).
+/// One decoded request frame (the executor-side unit of execution).
 #[derive(Clone)]
 enum Decoded {
     Single(u64, Request),
@@ -79,7 +80,7 @@ struct ConnService {
     sink: ReplySink,
     session: Session,
     /// Per-`seq` exactly-once response cache (full frames, prefix
-    /// included), same contract as the threaded executor's.
+    /// included).
     cache: BTreeMap<u64, Vec<u8>>,
     open_tops: BTreeSet<TxId>,
     /// Frames seen on this connection (the fault plan's key).
@@ -114,9 +115,11 @@ impl ConnService {
     }
 
     /// Execute one decoded frame, buffering its reply. `queue_us` is the
-    /// reactor-dispatch → worker-pickup wait (zero for the echo of a
-    /// fault-plan duplicate).
-    fn handle(&mut self, d: Decoded, queue_us: u64) {
+    /// reactor-dispatch → executor-pickup wait (zero for the echo of a
+    /// fault-plan duplicate). `frames` is how many dispatched frames the
+    /// reply answers: 1, or 0 for that echo, which shares its frame's
+    /// count.
+    fn handle(&mut self, d: Decoded, queue_us: u64, frames: u64) {
         let enabled = self.shared.telemetry.is_enabled();
         let t_dequeue = self.shared.telemetry.now_us();
         // Decode and enqueue are contiguous with dispatch on this path;
@@ -141,7 +144,7 @@ impl ConnService {
                 count_answer(&self.shared, ans.from_cache);
                 self.owes_barrier |= ans.mutated;
                 self.pending.extend_from_slice(&ans.bytes);
-                self.pending_frames += 1;
+                self.pending_frames += frames;
                 if enabled {
                     self.record_span(
                         seq,
@@ -180,7 +183,7 @@ impl ConnService {
                 self.owes_barrier |= owes;
                 let bytes = encode_batch_response(seq, &entries);
                 self.pending.extend_from_slice(&bytes);
-                self.pending_frames += 1;
+                self.pending_frames += frames;
                 if enabled {
                     self.record_span(
                         seq,
@@ -266,7 +269,7 @@ impl Service for ConnService {
             .map(|p| p.fate(self.frame_no))
             .unwrap_or(FrameFate::Deliver);
         match fate {
-            FrameFate::Deliver => self.handle(decoded, queue_us),
+            FrameFate::Deliver => self.handle(decoded, queue_us, 1),
             FrameFate::Drop => {
                 self.shared.stats.update(|s| s.dropped += 1);
                 self.shared.emit(Event::FrameFault {
@@ -285,9 +288,13 @@ impl Service for ConnService {
                     frame: self.frame_no,
                     fault: "duplicate",
                 });
-                self.handle(decoded.clone(), queue_us);
-                // The echo executes immediately and answers from cache.
-                self.handle(decoded, 0);
+                self.handle(decoded.clone(), queue_us, 1);
+                // The echo executes immediately and answers from cache;
+                // both replies are sent, but the reactor dispatched one
+                // frame, so the echo accounts for none.
+                if !self.closed {
+                    self.handle(decoded, 0, 0);
+                }
             }
             FrameFate::Delay(us) => {
                 self.shared.stats.update(|s| s.delayed += 1);
@@ -296,9 +303,10 @@ impl Service for ConnService {
                     frame: self.frame_no,
                     fault: "delay",
                 });
-                // On a worker thread: stalls this shard, never the poll.
+                // On the executor thread: stalls this connection, never
+                // the poll.
                 std::thread::sleep(Duration::from_micros(us));
-                self.handle(decoded, queue_us);
+                self.handle(decoded, queue_us, 1);
             }
         }
     }

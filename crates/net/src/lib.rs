@@ -9,9 +9,10 @@
 //!   protocol (`BEGIN_TOP`/`BEGIN_CHILD`/`ACCESS`/`COMMIT`/`ABORT`/
 //!   `HISTORY_FETCH`), with client-assigned sequence numbers that make
 //!   the transport at-least-once with exactly-once execution;
-//! * [`server`] — connection-per-thread TCP server: per-connection
-//!   reader + executor threads around a bounded queue (backpressure),
-//!   per-`seq` response cache, deterministic transport fault injection
+//! * [`server`] — the TCP server on the `nt-reactor` front end: one
+//!   poll thread owns every socket, one executor thread per connection
+//!   runs its requests in order, readiness backpressure, per-`seq`
+//!   response cache, deterministic transport fault injection
 //!   (`nt_faults::TransportPlan`) on the receive path, graceful drain;
 //! * [`client`] — pipelining connection with retry-with-backoff
 //!   (`nt_faults::BackoffPolicy`) and the post-run fetch-and-certify
@@ -58,7 +59,7 @@ pub mod wire;
 
 pub use admission::{AdmissionLedger, DeclaredSets};
 pub use client::{certify_history, fetch_and_certify, Conn, ConnConfig};
-pub use config::{Frontend, LoadConfig, LoadMode, NetConfig, ServerConfig};
+pub use config::{LoadConfig, LoadMode, NetConfig, ServerConfig};
 pub use history::HistoryDoc;
 pub use load::{run_load, workload_spec, LoadReport};
 pub use server::{DrainReport, NetServer, ServerHandle, ServerProbe, ServerStats};

@@ -1,19 +1,18 @@
-//! The networked nested-transaction server: a connection-per-thread TCP
-//! front end over `nt_engine::SessionEngine`.
+//! The networked nested-transaction server: an `nt_reactor` front end
+//! over `nt_engine::SessionEngine`.
 //!
-//! Each accepted connection gets two threads: a **reader** that frames
-//! bytes off the socket, applies the deterministic transport fault plan
-//! (drop / duplicate / delay, keyed on the connection's own frame
-//! counter), and feeds a **bounded** `sync_channel` (backpressure: a
-//! client that pipelines faster than the executor drains simply blocks in
-//! TCP); and an **executor** that owns the connection's
-//! [`Session`](nt_engine::Session), executes requests in order, and
-//! writes responses. A per-`seq` response cache makes execution
-//! exactly-once under the at-least-once transport: a retried or
-//! duplicated frame is answered from cache, never re-executed.
+//! One reactor thread owns the listener and every socket; each accepted
+//! connection gets one executor thread running a protocol service
+//! (`front_reactor`) that owns the connection's
+//! [`Session`](nt_engine::Session) and executes its requests in arrival
+//! order. Backpressure is by readiness: a connection with `queue_depth`
+//! unanswered frames stops being read, which stalls the client in TCP. A
+//! per-`seq` response cache makes execution exactly-once under the
+//! at-least-once transport: a retried or duplicated frame is answered
+//! from cache, never re-executed.
 //!
-//! When the config enables telemetry, both threads stamp each request's
-//! lifecycle (decode → enqueue → dequeue → execute → respond) into an
+//! When the config enables telemetry, the service stamps each request's
+//! lifecycle (dispatch → execute → respond) into an
 //! [`nt_telemetry::ReqSpan`] carrying dual wall-clock/`SeqClock` stamps.
 //! With `live_certify` on, every recorded action also streams into an
 //! [`nt_sgt_live::LiveCertifier`] — an incremental Theorem 17 gate that
@@ -27,35 +26,28 @@
 //! drain timeout, or a static-gate refusal.
 //!
 //! Graceful drain (`ServerHandle::drain`, or a wire `Shutdown` request)
-//! stops the acceptor, half-closes every connection's read side so
-//! readers see EOF at a frame boundary, lets executors finish everything
-//! already queued, and only then tears the engine down — so a drained
-//! server's recorded history is complete and certifiable.
+//! makes the reactor stop accepting and reading, answer everything
+//! already dispatched, and flush; only then is the engine torn down — so
+//! a drained server's recorded history is complete and certifiable.
 
 use crate::admission::{AdmissionLedger, DeclaredSets};
-use crate::config::{Frontend, ServerConfig};
+use crate::config::ServerConfig;
 use crate::history::HistoryDoc;
-use crate::wire::{
-    decode_batch_request, encode_response, err_code, parse_frame, parse_request, FrameReader,
-    Request, Response, WireError, KIND_BATCH_REQ,
-};
+use crate::wire::{encode_response, err_code, parse_frame, Request, Response};
 use nt_engine::{
     AccessOutcome, ActionSink, BeginOutcome, CommitOutcome, RecoveredSeed, Session, SessionEngine,
     SessionError,
 };
-use nt_faults::FrameFate;
 use nt_model::{ObjId, TxId};
 use nt_obs::json::JsonObj;
 use nt_obs::{Event, Stamped, TraceHandle};
 use nt_sgt_live::{cert_disabled_json, LiveCertifier, SgtConfig};
 use nt_store::{RecoveryReport, Store};
-use nt_telemetry::{ReqSpan, StatsCell, TelemetryHandle};
+use nt_telemetry::{StatsCell, TelemetryHandle};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -102,11 +94,6 @@ pub(crate) struct Shared {
     pub(crate) stats: StatsCell<ServerStats>,
     journal: Mutex<Vec<String>>,
     jseq: AtomicU64,
-    /// Read-half clones, shut down on drain to unblock readers
-    /// (threaded front end only).
-    read_halves: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
     /// Declared summaries of live tops (the static admission gate).
     admission: Mutex<AdmissionLedger>,
     /// The live serialization-graph certifier (`live_certify`); taken
@@ -119,9 +106,9 @@ pub(crate) struct Shared {
     /// identical cached answer instead of a second execution. Read-only
     /// after bind.
     pub(crate) recovered_cache: BTreeMap<u64, Vec<u8>>,
-    /// The reactor front end's drain trigger (reactor front end only),
-    /// registered by `serve` and fired by `begin_drain`.
-    reactor_drain: Mutex<Option<nt_reactor::Drainer>>,
+    /// The reactor's drain trigger, fired by `begin_drain` (a drain
+    /// requested before `serve` is honoured when the reactor starts).
+    drainer: nt_reactor::Drainer,
 }
 
 impl Shared {
@@ -219,31 +206,10 @@ impl Shared {
         if self.draining.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Reactor front end: the drainer wakes the poll loop, which stops
-        // accepting and reading, answers everything already dispatched,
-        // flushes, and exits.
-        if let Some(d) = self
-            .reactor_drain
-            .lock()
-            .expect("reactor drain poisoned")
-            .as_ref()
-        {
-            d.drain();
-            return;
-        }
-        // Threaded front end: half-close every reader so it sees EOF at a
-        // frame boundary.
-        for s in self
-            .read_halves
-            .lock()
-            .expect("read halves poisoned")
-            .iter()
-        {
-            let _ = s.shutdown(Shutdown::Read);
-        }
-        // Wake the acceptor with a throwaway connection; it observes the
-        // draining flag and exits instead of serving it.
-        let _ = TcpStream::connect(self.addr);
+        // The drainer wakes the poll loop, which stops accepting and
+        // reading, answers everything already dispatched, flushes, and
+        // exits.
+        self.drainer.drain();
     }
 }
 
@@ -293,17 +259,11 @@ pub struct NetServer {
     shared: Arc<Shared>,
 }
 
-/// The running front end: either the legacy acceptor thread
-/// (connection-per-thread) or the reactor's handle.
-enum Front {
-    Threaded(JoinHandle<()>),
-    Reactor(nt_reactor::ReactorHandle),
-}
-
 /// A serving server: drain it, then wait for it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    front: Front,
+    reactor: nt_reactor::ReactorHandle,
+    monitor: JoinHandle<()>,
 }
 
 /// A clonable live view of a serving server, for metrics writers and
@@ -342,7 +302,7 @@ impl ServerProbe {
 
     /// Initiate a graceful drain (idempotent, returns immediately). The
     /// probe variant lets a signal-watcher thread trigger the drain while
-    /// `ServerHandle::join` parks on the acceptor.
+    /// `ServerHandle::join` parks on the reactor.
     pub fn drain(&self) {
         self.shared.begin_drain();
     }
@@ -412,14 +372,11 @@ impl NetServer {
             stats: StatsCell::default(),
             journal: Mutex::new(Vec::new()),
             jseq: AtomicU64::new(0),
-            read_halves: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
-            monitor: Mutex::new(None),
             admission: Mutex::new(AdmissionLedger::new()),
             live: Mutex::new(live),
             store,
             recovered_cache,
-            reactor_drain: Mutex::new(None),
+            drainer: nt_reactor::Drainer::new(),
         });
         Ok(NetServer { listener, shared })
     }
@@ -434,77 +391,22 @@ impl NetServer {
         self.shared.store.as_ref().map(|s| s.report().clone())
     }
 
-    /// Start accepting connections on the configured front end: the
-    /// readiness-based reactor (default) or the legacy
-    /// connection-per-thread acceptor (`frontend = "threaded"`).
+    /// Start accepting connections (DESIGN.md §8j): one reactor thread
+    /// owns the listener and every socket, one executor thread per
+    /// connection runs its protocol service, and replies coalesce into as
+    /// few `write` syscalls (and `wait_durable` barriers) as readiness
+    /// allows.
     pub fn serve(self) -> ServerHandle {
-        {
+        let monitor = {
             let shared = Arc::clone(&self.shared);
-            let handle = std::thread::spawn(move || monitor_loop(&shared));
-            *self.shared.monitor.lock().expect("monitor poisoned") = Some(handle);
-        }
-        if self.shared.cfg.frontend == Frontend::Reactor {
-            return self.serve_reactor();
-        }
-        let shared = Arc::clone(&self.shared);
-        let listener = self.listener;
-        let acceptor = std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if shared.draining.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = incoming else { continue };
-                // Small request/response frames stall badly under Nagle +
-                // delayed ACK once a client pipelines (E18 measured ~6 ms
-                // client-side against a ~20 µs server span before this).
-                let _ = stream.set_nodelay(true);
-                let conn = shared.stats.update(|s| {
-                    s.conns += 1;
-                    s.conns
-                });
-                shared.emit(Event::ConnAccepted { conn });
-                let Ok(read_half) = stream.try_clone() else {
-                    continue;
-                };
-                shared
-                    .read_halves
-                    .lock()
-                    .expect("read halves poisoned")
-                    .push(read_half);
-                let shared2 = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || run_conn(shared2, conn, stream));
-                shared
-                    .conn_threads
-                    .lock()
-                    .expect("threads poisoned")
-                    .push(handle);
-            }
-        });
-        ServerHandle {
-            shared: self.shared,
-            front: Front::Threaded(acceptor),
-        }
-    }
-
-    /// Spawn the readiness-based reactor front end (DESIGN.md §8j): one
-    /// poll thread owns the listener and every socket, a small worker
-    /// pool runs the per-connection protocol services, and replies
-    /// coalesce into as few `write` syscalls (and `wait_durable`
-    /// barriers) as readiness allows.
-    fn serve_reactor(self) -> ServerHandle {
-        let drainer = nt_reactor::Drainer::new();
-        *self
-            .shared
-            .reactor_drain
-            .lock()
-            .expect("reactor drain poisoned") = Some(drainer.clone());
+            std::thread::spawn(move || monitor_loop(&shared))
+        };
         let phase = self.shared.telemetry.is_enabled().then(|| {
             let telemetry = self.shared.telemetry.clone();
             Arc::new(move |name: &'static str, us: u64| telemetry.observe_phase(name, us))
                 as nt_reactor::PhaseObserver
         });
         let rcfg = nt_reactor::ReactorConfig {
-            workers: self.shared.cfg.workers,
             min_frame_len: crate::wire::HEADER_LEN,
             max_frame_len: self.shared.cfg.max_frame_len,
             queue_depth: self.shared.cfg.queue_depth.max(1),
@@ -513,11 +415,12 @@ impl NetServer {
         let factory = Arc::new(crate::front_reactor::ReactorFactory::new(Arc::clone(
             &self.shared,
         )));
-        let handle = nt_reactor::spawn(self.listener, rcfg, factory, drainer)
+        let reactor = nt_reactor::spawn(self.listener, rcfg, factory, self.shared.drainer.clone())
             .expect("reactor spawn: nonblocking listener + self-pipe");
         ServerHandle {
             shared: self.shared,
-            front: Front::Reactor(handle),
+            reactor,
+            monitor,
         }
     }
 }
@@ -554,8 +457,8 @@ impl ServerHandle {
 
     /// Block until something else initiates a drain — a wire `Shutdown`
     /// request or a `drain()` call from another thread — then finish it.
-    /// This is how `nt-serve` parks: the acceptor thread only exits once
-    /// the draining flag is set.
+    /// This is how `nt-serve` parks: the reactor only exits once a drain
+    /// has been requested.
     pub fn join(self) -> DrainReport {
         // Drain watchdog: armed the moment a drain is initiated; if
         // connections then fail to quiesce within the configured timeout,
@@ -588,32 +491,10 @@ impl ServerHandle {
                 }
             })
         };
-        match self.front {
-            Front::Threaded(acceptor) => {
-                let _ = acceptor.join();
-                loop {
-                    let handle = self
-                        .shared
-                        .conn_threads
-                        .lock()
-                        .expect("threads poisoned")
-                        .pop();
-                    match handle {
-                        Some(h) => {
-                            let _ = h.join();
-                        }
-                        None => break,
-                    }
-                }
-            }
-            // Blocks until the drain completes: every dispatched frame
-            // answered, every output buffer flushed, workers joined.
-            Front::Reactor(handle) => handle.join(),
-        }
-        let monitor = self.shared.monitor.lock().expect("monitor poisoned").take();
-        if let Some(m) = monitor {
-            let _ = m.join();
-        }
+        // Blocks until the drain completes: every dispatched frame
+        // answered, every output buffer flushed, executors joined.
+        self.reactor.join();
+        let _ = self.monitor.join();
         let _ = done_tx.send(());
         let _ = watchdog.join();
         let (_, stats) = self.shared.stats.snapshot();
@@ -648,168 +529,6 @@ impl ServerHandle {
             victims: shared.engine.victims().len(),
         }
     }
-}
-
-/// One parsed request with its lifecycle stamps (all zero when telemetry
-/// is disabled — the stamping calls are single-branch no-ops).
-#[derive(Clone)]
-struct ReqWork {
-    seq: u64,
-    req: Request,
-    /// Wall µs (telemetry epoch) when the reader finished decoding.
-    t_decode: u64,
-    /// Wall µs when the reader handed the request to the queue.
-    t_enqueue: u64,
-    /// Engine `SeqClock` reading at decode time.
-    seq_decode: u64,
-}
-
-/// One decoded `BATCH` frame: many ops under one outer seq, answered by
-/// one `BATCH_RESP` and covered by one durability barrier.
-#[derive(Clone)]
-struct BatchWork {
-    seq: u64,
-    ops: Vec<(u64, Request)>,
-    t_decode: u64,
-    t_enqueue: u64,
-    seq_decode: u64,
-}
-
-/// What the reader hands the executor.
-enum Work {
-    Req(ReqWork),
-    Batch(BatchWork),
-    Malformed(WireError),
-}
-
-/// Stamp the enqueue time (as close to the channel hand-off as possible,
-/// so `queue_wait` excludes fault-plan delay sleeps) and send.
-fn send_stamped(shared: &Shared, tx: &SyncSender<Work>, mut work: Work) -> bool {
-    match &mut work {
-        Work::Req(rw) => rw.t_enqueue = shared.telemetry.now_us(),
-        Work::Batch(bw) => bw.t_enqueue = shared.telemetry.now_us(),
-        Work::Malformed(_) => {}
-    }
-    tx.send(work).is_ok()
-}
-
-fn run_conn(shared: Arc<Shared>, conn: u64, stream: TcpStream) {
-    let (tx, rx) = mpsc::sync_channel::<Work>(shared.cfg.queue_depth.max(1));
-    let reader = {
-        let shared = Arc::clone(&shared);
-        let Ok(read_stream) = stream.try_clone() else {
-            return;
-        };
-        std::thread::spawn(move || read_loop(&shared, conn, read_stream, &tx))
-    };
-    let session = shared.engine.open_session();
-    execute_loop(&shared, conn, stream, session, &rx);
-    let frames = reader.join().unwrap_or(0);
-    shared.emit(Event::ConnClosed { conn, frames });
-}
-
-/// Frame the socket, apply the fault plan, feed the bounded queue.
-/// Returns the number of frames read.
-fn read_loop(shared: &Shared, conn: u64, mut stream: TcpStream, tx: &SyncSender<Work>) -> u64 {
-    let mut fr = FrameReader::new();
-    let mut frame_no = 0u64;
-    loop {
-        match fr.read_frame(&mut stream, shared.cfg.max_frame_len) {
-            Ok(None) => break,
-            Ok(Some(frame)) => {
-                frame_no += 1;
-                shared.stats.update(|s| s.frames += 1);
-                let work = match decode_work(shared, &frame) {
-                    Ok(work) => work,
-                    Err(e) => {
-                        let _ = tx.send(Work::Malformed(e));
-                        break;
-                    }
-                };
-                let fate = shared
-                    .cfg
-                    .fault
-                    .map(|p| p.fate(frame_no))
-                    .unwrap_or(FrameFate::Deliver);
-                let sent = match fate {
-                    FrameFate::Deliver => send_stamped(shared, tx, work),
-                    FrameFate::Drop => {
-                        shared.stats.update(|s| s.dropped += 1);
-                        shared.emit(Event::FrameFault {
-                            conn,
-                            frame: frame_no,
-                            fault: "drop",
-                        });
-                        true
-                    }
-                    FrameFate::Duplicate => {
-                        shared.stats.update(|s| s.duplicated += 1);
-                        shared.emit(Event::FrameFault {
-                            conn,
-                            frame: frame_no,
-                            fault: "duplicate",
-                        });
-                        match work {
-                            Work::Req(rw) => {
-                                let copy = Work::Req(rw.clone());
-                                send_stamped(shared, tx, Work::Req(rw))
-                                    && send_stamped(shared, tx, copy)
-                            }
-                            Work::Batch(bw) => {
-                                let copy = Work::Batch(bw.clone());
-                                send_stamped(shared, tx, Work::Batch(bw))
-                                    && send_stamped(shared, tx, copy)
-                            }
-                            Work::Malformed(_) => send_stamped(shared, tx, work),
-                        }
-                    }
-                    FrameFate::Delay(us) => {
-                        shared.stats.update(|s| s.delayed += 1);
-                        shared.emit(Event::FrameFault {
-                            conn,
-                            frame: frame_no,
-                            fault: "delay",
-                        });
-                        std::thread::sleep(Duration::from_micros(us));
-                        send_stamped(shared, tx, work)
-                    }
-                };
-                if !sent {
-                    break;
-                }
-            }
-            Err(WireError::TimedOut) => continue,
-            Err(e) => {
-                let _ = tx.send(Work::Malformed(e));
-                break;
-            }
-        }
-    }
-    frame_no
-}
-
-/// Decode one frame into executor work: a single request, or a `BATCH`
-/// carrying many per-seq ops under one outer seq.
-fn decode_work(shared: &Shared, frame: &[u8]) -> Result<Work, WireError> {
-    let (kind, seq, body) = parse_frame(frame)?;
-    if kind == KIND_BATCH_REQ {
-        let ops = decode_batch_request(body)?;
-        return Ok(Work::Batch(BatchWork {
-            seq,
-            ops,
-            t_decode: shared.telemetry.now_us(),
-            t_enqueue: 0,
-            seq_decode: shared.engine.clock_now(),
-        }));
-    }
-    let (seq, req) = parse_request(frame)?;
-    Ok(Work::Req(ReqWork {
-        seq,
-        req,
-        t_decode: shared.telemetry.now_us(),
-        t_enqueue: 0,
-        seq_decode: shared.engine.clock_now(),
-    }))
 }
 
 pub(crate) fn session_error_response(e: &SessionError) -> Response {
@@ -947,137 +666,6 @@ pub(crate) fn answer_batch(
         });
     }
     Some((entries, lock_wait_us, owes_barrier, shutdown))
-}
-
-/// Execute requests in order, answering retries/duplicates from the
-/// per-`seq` cache; on exit, abort every top this connection left open so
-/// no lock outlives its client.
-fn execute_loop(
-    shared: &Shared,
-    conn: u64,
-    mut stream: TcpStream,
-    mut session: Session,
-    rx: &Receiver<Work>,
-) {
-    let mut cache: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-    let mut open_tops: BTreeSet<TxId> = BTreeSet::new();
-    for work in rx.iter() {
-        match work {
-            Work::Req(rw) => {
-                let t_dequeue = shared.telemetry.now_us();
-                let Some(ans) = answer_op(
-                    shared,
-                    &mut session,
-                    &mut cache,
-                    &mut open_tops,
-                    rw.seq,
-                    &rw.req,
-                ) else {
-                    break;
-                };
-                // Durability barrier: wait for the WAL watermark *before*
-                // the ack goes on the wire, so an acknowledged effect
-                // (and its cached answer) survives a crash.
-                let log_wait_us = if ans.mutated {
-                    pay_durability(shared)
-                } else {
-                    0
-                };
-                count_answer(shared, ans.from_cache);
-                let t_exec_end = shared.telemetry.now_us();
-                if stream.write_all(&ans.bytes).is_err() {
-                    break;
-                }
-                if shared.telemetry.is_enabled() {
-                    shared.telemetry.record_span(ReqSpan {
-                        conn,
-                        seq: rw.seq,
-                        kind: rw.req.kind(),
-                        t_decode: rw.t_decode,
-                        t_enqueue: rw.t_enqueue,
-                        t_dequeue,
-                        t_exec_end,
-                        t_respond: shared.telemetry.now_us(),
-                        lock_wait_us: ans.lock_wait_us,
-                        log_wait_us,
-                        seq_decode: rw.seq_decode,
-                        seq_respond: shared.engine.clock_now(),
-                    });
-                }
-                if !ans.from_cache && matches!(rw.req, Request::Shutdown) {
-                    let _ = stream.flush();
-                    shared.begin_drain();
-                }
-            }
-            Work::Batch(bw) => {
-                let t_dequeue = shared.telemetry.now_us();
-                let t_asm = shared.telemetry.is_enabled().then(Instant::now);
-                let Some((entries, lock_wait_us, owes_barrier, shutdown)) =
-                    answer_batch(shared, &mut session, &mut cache, &mut open_tops, &bw.ops)
-                else {
-                    break;
-                };
-                if let Some(t_asm) = t_asm {
-                    shared
-                        .telemetry
-                        .observe_phase("batch_assemble", t_asm.elapsed().as_micros() as u64);
-                }
-                // One group-commit barrier covers every member of the
-                // batch — this is the coalescing the BATCH frame buys.
-                let log_wait_us = if owes_barrier {
-                    pay_durability(shared)
-                } else {
-                    0
-                };
-                if owes_barrier {
-                    shared.telemetry.observe_phase("coalesce", log_wait_us);
-                }
-                let bytes = crate::wire::encode_batch_response(bw.seq, &entries);
-                let t_exec_end = shared.telemetry.now_us();
-                if stream.write_all(&bytes).is_err() {
-                    break;
-                }
-                if shared.telemetry.is_enabled() {
-                    shared.telemetry.record_span(ReqSpan {
-                        conn,
-                        seq: bw.seq,
-                        kind: KIND_BATCH_REQ,
-                        t_decode: bw.t_decode,
-                        t_enqueue: bw.t_enqueue,
-                        t_dequeue,
-                        t_exec_end,
-                        t_respond: shared.telemetry.now_us(),
-                        lock_wait_us,
-                        log_wait_us,
-                        seq_decode: bw.seq_decode,
-                        seq_respond: shared.engine.clock_now(),
-                    });
-                }
-                if shutdown {
-                    let _ = stream.flush();
-                    shared.begin_drain();
-                }
-            }
-            Work::Malformed(e) => {
-                let resp = Response::Error {
-                    code: err_code::PROTOCOL,
-                    msg: e.to_string(),
-                };
-                if let Ok(bytes) = encode_response(0, &resp) {
-                    let _ = stream.write_all(&bytes);
-                }
-                break;
-            }
-        }
-    }
-    // The client is gone (EOF, protocol error, or drain). Abort whatever
-    // it left open so held locks cannot starve other sessions, and free
-    // its admission slots so declared tops cannot block future clients.
-    for t in open_tops {
-        let _ = session.abort(t);
-        shared.release_admission(t);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Whether a request can change engine state — only these pay the

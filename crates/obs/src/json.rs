@@ -384,6 +384,17 @@ mod tests {
     }
 
     #[test]
+    fn escape_str_output() {
+        let esc = |s: &str| {
+            let mut out = String::new();
+            escape_str(s, &mut out);
+            out
+        };
+        assert_eq!(esc("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(esc("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
     fn escaping_roundtrips() {
         let nasty = "quote\" back\\ newline\n tab\t ctrl\u{1} unicode é";
         let mut o = JsonObj::new();

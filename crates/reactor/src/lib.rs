@@ -1,41 +1,39 @@
 //! nt-reactor: a readiness-based nonblocking server front end.
 //!
-//! The connection-per-thread server (nt-net PR 5) anti-scales: past a
-//! couple of connections, every pipelined client costs two parked threads
-//! and a kernel context switch per frame, and BENCH_net.json showed
-//! throughput *falling* from 2 connections toward 8. This crate replaces
-//! that front end with the classic reactor shape, hand-rolled over
-//! `poll(2)` (via `pollshim`, the workspace's second and last unsafe FFI
-//! shim) so the workspace stays dependency-free:
+//! A connection-per-thread server anti-scales: past a couple of
+//! connections, every pipelined client costs two parked threads and a
+//! kernel context switch per frame. This crate is the classic reactor
+//! shape instead, hand-rolled over `poll(2)` (via `pollshim`, the
+//! workspace's second and last unsafe FFI shim) so the workspace stays
+//! dependency-free:
 //!
 //! - One **reactor thread** owns the listener and every connection. It
 //!   polls for readiness, accepts nonblockingly, reads socket bytes into a
 //!   per-connection [`FrameBuf`], and dispatches each complete
-//!   length-prefixed frame to a worker. It also owns all writes: replies
-//!   from workers arrive on a completion queue (a self-pipe [`Waker`]
-//!   interrupts the poll), are appended to per-connection output buffers,
-//!   and are flushed with as few `write` syscalls as readiness allows —
-//!   many replies **coalesce** into one syscall.
+//!   length-prefixed frame to that connection's executor. It also owns all
+//!   writes: replies from executors arrive on a completion queue (a
+//!   self-pipe [`Waker`] interrupts the poll), are appended to
+//!   per-connection output buffers, and are flushed with as few `write`
+//!   syscalls as readiness allows — many replies **coalesce** into one
+//!   syscall.
 //! - **Executors** run the protocol logic, which the embedder supplies
-//!   as a [`Service`] per connection via a [`ServiceFactory`]. Two
-//!   models, chosen by [`ReactorConfig::workers`]: a fixed pool sharded
-//!   by connection id (only safe when `Service::frame` never waits on
-//!   another connection's progress), or — the default — one executor
-//!   thread per connection, created at accept and reaped at hangup,
-//!   which a blocking service (two-phase lock waits) requires for
-//!   liveness. Either way a connection's frames execute in order, and
-//!   when an executor's queue runs dry it calls [`Service::flush`] on
-//!   every connection it touched — the natural group-commit point: a
-//!   service can defer its durability barrier across a burst of frames
-//!   and pay it once.
+//!   as a [`Service`] per connection via a [`ServiceFactory`]. Each
+//!   connection gets its own executor thread, created at accept and
+//!   exiting at hangup: a service may block on another connection's
+//!   progress (two-phase lock waits), and a shared pool would let a
+//!   blocked waiter starve the lock holder queued behind it. An executor
+//!   runs its connection's frames in order, and when its queue runs dry it
+//!   calls [`Service::flush`] — the natural group-commit point: a service
+//!   can defer its durability barrier across a burst of frames and pay it
+//!   once.
 //!
 //! Backpressure is by readiness, not blocking: a connection with more than
 //! `queue_depth` dispatched-but-unanswered frames is simply removed from
 //! the poll interest set until its backlog drains, which pushes the stall
-//! into the client's TCP window exactly like the old bounded channel did.
+//! into the client's TCP window.
 //!
 //! Ordering invariant (the one the certifier cares about): frames of one
-//! connection are dispatched in arrival order to one worker, executed in
+//! connection are dispatched in arrival order to one executor, executed in
 //! that order, and their replies are appended to the output buffer in
 //! completion-queue order — so coalescing changes *when* bytes hit the
 //! wire, never the per-connection execution or reply order, and the
@@ -55,7 +53,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -74,16 +72,6 @@ pub type PhaseObserver = Arc<dyn Fn(&'static str, u64) + Send + Sync>;
 
 /// Reactor tuning knobs.
 pub struct ReactorConfig {
-    /// Executor model. `0` (the default): one executor thread per
-    /// connection, created at accept and reaped at hangup — required
-    /// when the [`Service`] can block on another connection's progress
-    /// (e.g. two-phase-lock waits: with a shared pool, the lock holder's
-    /// frames can sit queued behind the blocked waiter on the same
-    /// shard, a scheduling deadlock no lock-cycle detector can see).
-    /// `N > 0`: a fixed pool of `N` workers sharded by connection id —
-    /// fewer threads, but only safe for services whose `frame` calls
-    /// never wait on other connections.
-    pub workers: usize,
     /// Smallest acceptable declared frame length (protocol header size).
     pub min_frame_len: usize,
     /// Largest acceptable declared frame length.
@@ -99,7 +87,6 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            workers: 0,
             min_frame_len: 1,
             max_frame_len: 1 << 22,
             queue_depth: 64,
@@ -108,21 +95,22 @@ impl Default for ReactorConfig {
     }
 }
 
-/// One connection's protocol state, owned by exactly one worker thread.
-/// All methods run on that worker; replies go through the [`ReplySink`]
+/// One connection's protocol state, owned by its executor thread. All
+/// methods run on that thread; replies go through the [`ReplySink`]
 /// handed to [`ServiceFactory::open`].
 pub trait Service: Send {
     /// One complete frame (sans length prefix) arrived. `enqueued` is the
     /// reactor-thread dispatch instant, so the service can report real
     /// dispatch→execution queue wait. The service may reply now via the
     /// sink or buffer the reply until [`Service::flush`]; either way every
-    /// frame must eventually be accounted for through `ReplySink::send`'s
-    /// `frames_done` (an intentionally unanswered frame — e.g. a
-    /// fault-plan drop — sends empty bytes with `frames_done = 1`).
+    /// frame must be accounted for exactly once through
+    /// `ReplySink::send`'s `frames_done`, however many replies it produced
+    /// (an intentionally unanswered frame — e.g. a fault-plan drop — sends
+    /// empty bytes with `frames_done = 1`).
     fn frame(&mut self, frame: Vec<u8>, enqueued: Instant);
 
-    /// The worker's queue ran dry after a burst that touched this
-    /// connection: emit buffered replies. This is the group-commit point —
+    /// The executor's queue ran dry after a burst of frames: emit
+    /// buffered replies. This is the group-commit point —
     /// a durability barrier paid here covers every frame since the last
     /// flush.
     fn flush(&mut self) {}
@@ -162,7 +150,7 @@ enum Completion {
     Drain,
 }
 
-/// A worker-side handle for answering one connection.
+/// An executor-side handle for answering one connection.
 #[derive(Clone)]
 pub struct ReplySink {
     conn: u64,
@@ -198,77 +186,46 @@ impl ReplySink {
     }
 }
 
-// --- Worker pool -----------------------------------------------------------
+// --- Executors -------------------------------------------------------------
 
 enum WorkerMsg {
-    Open(u64, Box<dyn Service>),
-    Frame(u64, Vec<u8>, Instant),
-    Corrupt(u64, BadFrame),
-    Hangup(u64, u64),
-    Stop,
+    Frame(Vec<u8>, Instant),
+    Corrupt(BadFrame),
+    Hangup(u64),
 }
 
-fn worker_loop(rx: &Receiver<WorkerMsg>) {
-    let mut services: BTreeMap<u64, Box<dyn Service>> = BTreeMap::new();
-    // Connections touched since their last flush (group-commit window).
-    let mut dirty: Vec<u64> = Vec::new();
-    let process = |msg: WorkerMsg,
-                   services: &mut BTreeMap<u64, Box<dyn Service>>,
-                   dirty: &mut Vec<u64>|
-     -> bool {
-        match msg {
-            WorkerMsg::Open(conn, svc) => {
-                services.insert(conn, svc);
-            }
-            WorkerMsg::Frame(conn, frame, enqueued) => {
-                if let Some(svc) = services.get_mut(&conn) {
+/// One connection's executor: runs its service until the hangup.
+fn worker_loop(mut svc: Box<dyn Service>, rx: &Receiver<WorkerMsg>) {
+    while let Ok(mut msg) = rx.recv() {
+        // Greedy drain: execute everything already queued, then flush
+        // once — the group-commit coalescing point.
+        let mut dirty = false;
+        loop {
+            match msg {
+                WorkerMsg::Frame(frame, enqueued) => {
                     svc.frame(frame, enqueued);
-                    if !dirty.contains(&conn) {
-                        dirty.push(conn);
-                    }
+                    dirty = true;
                 }
-            }
-            WorkerMsg::Corrupt(conn, bad) => {
-                if let Some(svc) = services.get_mut(&conn) {
+                // `corrupt` flushes whatever it had buffered itself.
+                WorkerMsg::Corrupt(bad) => {
                     svc.corrupt(bad);
-                    dirty.retain(|&c| c != conn);
+                    dirty = false;
                 }
-            }
-            WorkerMsg::Hangup(conn, frames) => {
-                if let Some(mut svc) = services.remove(&conn) {
-                    if dirty.contains(&conn) {
+                WorkerMsg::Hangup(frames) => {
+                    if dirty {
                         svc.flush();
-                        dirty.retain(|&c| c != conn);
                     }
                     svc.hangup(frames);
+                    return;
                 }
             }
-            WorkerMsg::Stop => return false,
-        }
-        true
-    };
-    'outer: loop {
-        let Ok(msg) = rx.recv() else { break };
-        if !process(msg, &mut services, &mut dirty) {
-            break;
-        }
-        // Greedy drain: execute everything already queued, then flush the
-        // touched connections once — the group-commit coalescing point.
-        loop {
             match rx.try_recv() {
-                Ok(msg) => {
-                    if !process(msg, &mut services, &mut dirty) {
-                        break 'outer;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break 'outer,
+                Ok(next) => msg = next,
+                Err(_) => break,
             }
         }
-        for conn in dirty.drain(..) {
-            if let Some(svc) = services.get_mut(&conn) {
-                svc.flush();
-            }
+        if dirty {
+            svc.flush();
         }
     }
 }
@@ -327,9 +284,11 @@ impl Drainer {
 
 struct ConnState {
     stream: TcpStream,
+    /// The connection's executor.
+    tx: Sender<WorkerMsg>,
     inbuf: FrameBuf,
     out: Vec<u8>,
-    /// Frames dispatched to the worker but not yet `frames_done`-answered.
+    /// Frames dispatched to the executor but not yet `frames_done`-answered.
     outstanding: u64,
     /// Frames dispatched over the connection's lifetime.
     frames: u64,
@@ -339,8 +298,6 @@ struct ConnState {
     close_after_flush: bool,
     /// The socket died mid-write; drop output instead of buffering it.
     dead: bool,
-    /// Worker has been told to hang this connection up.
-    hangup_sent: bool,
 }
 
 impl ConnState {
@@ -375,7 +332,7 @@ impl ReactorHandle {
     }
 
     /// Block until the reactor has drained: every dispatched frame
-    /// answered, every output buffer flushed, every worker joined.
+    /// answered, every output buffer flushed, every executor joined.
     pub fn join(self) {
         let _ = self.thread.join();
     }
@@ -394,13 +351,6 @@ pub fn spawn(
     let (waker_rd, waker) = waker::waker_pair()?;
     drainer.register(waker.clone());
     let (comp_tx, comp_rx) = mpsc::channel::<Completion>();
-    let mut pool_txs = Vec::with_capacity(cfg.workers);
-    let mut pool_threads = Vec::with_capacity(cfg.workers);
-    for _ in 0..cfg.workers {
-        let (tx, rx) = mpsc::channel::<WorkerMsg>();
-        pool_txs.push(tx);
-        pool_threads.push(std::thread::spawn(move || worker_loop(&rx)));
-    }
     let loop_drainer = drainer.clone();
     let thread = std::thread::spawn(move || {
         let mut r = ReactorLoop {
@@ -412,25 +362,15 @@ pub fn spawn(
             waker,
             comp_tx,
             comp_rx,
-            pool_txs,
-            conn_txs: BTreeMap::new(),
             conn_workers: Vec::new(),
             conns: BTreeMap::new(),
             next_conn: 1,
             drain_seen: false,
         };
         r.run();
-        for tx in &r.pool_txs {
-            let _ = tx.send(WorkerMsg::Stop);
-        }
-        for h in pool_threads {
-            let _ = h.join();
-        }
-        // Per-connection executors: every surviving sender gets a Stop
-        // (normally all conns finished and already got one), then join.
-        for tx in r.conn_txs.values() {
-            let _ = tx.send(WorkerMsg::Stop);
-        }
+        // Normally every connection already hung up; dropping any survivor
+        // (poll failure) disconnects its executor's queue so it exits.
+        r.conns.clear();
         for h in r.conn_workers.drain(..) {
             let _ = h.join();
         }
@@ -447,10 +387,6 @@ struct ReactorLoop {
     waker: Waker,
     comp_tx: Sender<Completion>,
     comp_rx: Receiver<Completion>,
-    /// Fixed pool senders (`workers > 0`), sharded by connection id.
-    pool_txs: Vec<Sender<WorkerMsg>>,
-    /// Per-connection executor senders (`workers == 0`).
-    conn_txs: BTreeMap<u64, Sender<WorkerMsg>>,
     /// Per-connection executor threads awaiting their opportunistic join.
     conn_workers: Vec<JoinHandle<()>>,
     conns: BTreeMap<u64, ConnState>,
@@ -459,16 +395,6 @@ struct ReactorLoop {
 }
 
 impl ReactorLoop {
-    fn dispatch(&self, conn: u64, msg: WorkerMsg) {
-        if self.pool_txs.is_empty() {
-            if let Some(tx) = self.conn_txs.get(&conn) {
-                let _ = tx.send(msg);
-            }
-        } else {
-            let _ = self.pool_txs[(conn % self.pool_txs.len() as u64) as usize].send(msg);
-        }
-    }
-
     /// Join per-connection executor threads that have already exited
     /// (they stop right after their connection's hangup).
     fn reap_workers(&mut self) {
@@ -538,7 +464,7 @@ impl ReactorLoop {
                     self.read_ready(id);
                 }
             }
-            // Replies may have landed while reading (fast workers); pick
+            // Replies may have landed while reading (fast executors); pick
             // them up before the write pass so they coalesce into it.
             self.drain_completions();
             let writable: Vec<u64> = self
@@ -572,7 +498,8 @@ impl ReactorLoop {
                     frames_done,
                 } => {
                     if let Some(c) = self.conns.get_mut(&conn) {
-                        c.outstanding = c.outstanding.saturating_sub(frames_done);
+                        debug_assert!(frames_done <= c.outstanding);
+                        c.outstanding -= frames_done;
                         if !c.dead && !bytes.is_empty() {
                             c.out.extend_from_slice(&bytes);
                         }
@@ -607,17 +534,14 @@ impl ReactorLoop {
                         waker: self.waker.clone(),
                     };
                     let svc = self.factory.open(conn, sink);
-                    if self.pool_txs.is_empty() {
-                        let (tx, rx) = mpsc::channel::<WorkerMsg>();
-                        self.conn_txs.insert(conn, tx);
-                        self.conn_workers
-                            .push(std::thread::spawn(move || worker_loop(&rx)));
-                    }
-                    self.dispatch(conn, WorkerMsg::Open(conn, svc));
+                    let (tx, rx) = mpsc::channel::<WorkerMsg>();
+                    self.conn_workers
+                        .push(std::thread::spawn(move || worker_loop(svc, &rx)));
                     self.conns.insert(
                         conn,
                         ConnState {
                             stream,
+                            tx,
                             inbuf: FrameBuf::new(),
                             out: Vec::new(),
                             outstanding: 0,
@@ -625,7 +549,6 @@ impl ReactorLoop {
                             read_closed: false,
                             close_after_flush: false,
                             dead: false,
-                            hangup_sent: false,
                         },
                     );
                 }
@@ -637,57 +560,47 @@ impl ReactorLoop {
     }
 
     fn read_ready(&mut self, id: u64) {
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut corrupt: Option<BadFrame> = None;
-        {
-            let Some(c) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if c.read_closed || c.dead {
-                return;
-            }
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match c.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        c.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => c.inbuf.extend(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        c.read_closed = true;
-                        c.dead = true;
-                        break;
-                    }
+        let Some(c) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if c.read_closed || c.dead {
+            return;
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        loop {
+            match c.stream.read(&mut chunk) {
+                Ok(0) => {
+                    c.read_closed = true;
+                    break;
                 }
-            }
-            loop {
-                match c.inbuf.pop(self.cfg.min_frame_len, self.cfg.max_frame_len) {
-                    Ok(Some(frame)) => {
-                        c.frames += 1;
-                        c.outstanding += 1;
-                        frames.push(frame);
-                    }
-                    Ok(None) => break,
-                    Err(bad) => {
-                        // Unframeable stream: stop reading, let the
-                        // service answer with a protocol error and close.
-                        c.read_closed = true;
-                        c.inbuf.clear();
-                        c.outstanding += 1;
-                        corrupt = Some(bad);
-                        break;
-                    }
+                Ok(n) => c.inbuf.extend(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    c.read_closed = true;
+                    c.dead = true;
+                    break;
                 }
             }
         }
-        for frame in frames {
-            self.dispatch(id, WorkerMsg::Frame(id, frame, Instant::now()));
-        }
-        if let Some(bad) = corrupt {
-            self.dispatch(id, WorkerMsg::Corrupt(id, bad));
+        loop {
+            match c.inbuf.pop(self.cfg.min_frame_len, self.cfg.max_frame_len) {
+                Ok(Some(frame)) => {
+                    c.frames += 1;
+                    c.outstanding += 1;
+                    let _ = c.tx.send(WorkerMsg::Frame(frame, Instant::now()));
+                }
+                Ok(None) => break,
+                Err(bad) => {
+                    // Unframeable stream: stop reading, let the service
+                    // answer with a protocol error and close.
+                    c.read_closed = true;
+                    c.inbuf.clear();
+                    c.outstanding += 1;
+                    let _ = c.tx.send(WorkerMsg::Corrupt(bad));
+                    break;
+                }
+            }
         }
     }
 
@@ -719,25 +632,16 @@ impl ReactorLoop {
     }
 
     fn sweep_finished(&mut self) {
-        let finished: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.finished() && !c.hangup_sent)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in finished {
-            let c = self.conns.get_mut(&id).expect("conn present");
-            c.hangup_sent = true;
-            let frames = c.frames;
-            let _ = c.stream.shutdown(Shutdown::Both);
-            self.dispatch(id, WorkerMsg::Hangup(id, frames));
-            // A per-connection executor has nothing left after its
-            // connection's hangup: stop it and reap it opportunistically.
-            if let Some(tx) = self.conn_txs.remove(&id) {
-                let _ = tx.send(WorkerMsg::Stop);
+        // A finished connection's executor exits after its hangup; reap
+        // it opportunistically.
+        self.conns.retain(|_, c| {
+            if !c.finished() {
+                return true;
             }
-            self.conns.remove(&id);
-        }
+            let _ = c.stream.shutdown(Shutdown::Both);
+            let _ = c.tx.send(WorkerMsg::Hangup(c.frames));
+            false
+        });
         self.reap_workers();
     }
 }

@@ -1,4 +1,4 @@
-//! Self-pipe waker: lets worker threads interrupt a blocked `poll(2)`.
+//! Self-pipe waker: lets executor threads interrupt a blocked `poll(2)`.
 
 use std::io::{Read, Write};
 use std::os::fd::AsRawFd;
@@ -10,7 +10,7 @@ pub(crate) struct WakerReader {
     rx: UnixStream,
 }
 
-/// The clonable worker-side end: one byte written wakes the poll loop.
+/// The clonable executor-side end: one byte written wakes the poll loop.
 /// A full pipe means a wake is already pending, so `WouldBlock` is success.
 #[derive(Clone)]
 pub struct Waker {

@@ -1,7 +1,7 @@
 //! End-to-end reactor tests over real loopback sockets, with a tiny echo
 //! protocol: each frame is `len u32le | payload`, and the service echoes
 //! the payload back in its own frame. Exercises accept, nonblocking
-//! framing across partial writes, worker dispatch, reply coalescing,
+//! framing across partial writes, executor dispatch, reply coalescing,
 //! per-connection ordering, corrupt-prefix handling, and graceful drain.
 
 use nt_reactor::{spawn, BadFrame, Drainer, ReactorConfig, ReplySink, Service, ServiceFactory};
@@ -97,7 +97,6 @@ fn start(
         hangups: Arc::clone(&hangups),
     });
     let cfg = ReactorConfig {
-        workers: 2,
         min_frame_len: 1,
         max_frame_len: max_frame,
         queue_depth: 16,
