@@ -77,7 +77,8 @@ impl std::fmt::Display for DurabilityMode {
 /// Configuration of one threaded engine run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads executing top-level transactions (must be ≥ 1).
+    /// Worker threads executing top-level transactions, one `Session`
+    /// each (must be ≥ 1).
     pub threads: usize,
     /// Lock-table shards; must be a power of two (objects map to shards by
     /// `object_id & (shards - 1)`).
@@ -92,21 +93,17 @@ pub struct EngineConfig {
     /// when `backoff` is set): the policy's round counts become real
     /// sleeps.
     pub backoff_round_us: u64,
-    /// Simulated storage latency per access in microseconds, applied while
-    /// the access holds its lock (0 = none). With it the workload is
-    /// latency-bound, so the throughput benchmark measures the engine's
-    /// ability to overlap access latency across workers — meaningful even
-    /// on a single hardware core.
+    /// Simulated storage latency per access in microseconds, slept after
+    /// the access while its parent holds the inherited lock (0 = none).
+    /// With it the workload is latency-bound, so the throughput benchmark
+    /// measures the engine's ability to overlap access latency across
+    /// workers — meaningful even on a single hardware core.
     pub access_latency_us: u64,
-    /// Watchdog: the detector thread aborts all in-flight work after this
-    /// many wall-clock milliseconds (must be > 0). A run that trips it is
+    /// Watchdog: the driver aborts all in-flight work after this many
+    /// wall-clock milliseconds (must be > 0). A run that trips it is
     /// reported with `gave_up = true` and still certifies (aborted work is
     /// invisible to `T0`).
     pub max_wall_ms: u64,
-    /// Acknowledgment/durability coupling when a WAL store is mounted
-    /// (`nt-store`). The batch engine runs in memory and ignores it; the
-    /// session engine behind `nt-serve --data-dir` enforces it.
-    pub durability: DurabilityMode,
     /// Maintain the serialization graph *live* while the run executes
     /// (`nt-sgt-live`): every recorded action streams to a certifier
     /// thread that detects cycles incrementally and garbage-collects the
@@ -125,7 +122,6 @@ impl Default for EngineConfig {
             backoff_round_us: 50,
             access_latency_us: 0,
             max_wall_ms: 30_000,
-            durability: DurabilityMode::None,
             live_certify: false,
         }
     }
@@ -167,7 +163,6 @@ impl EngineConfig {
         if self.max_wall_ms == 0 {
             out.push("max_wall_ms must be > 0 (the watchdog is the liveness backstop)".to_string());
         }
-        out.extend(self.durability.problems());
         out
     }
 
@@ -211,20 +206,6 @@ impl EngineConfig {
                 },
             ),
             (
-                "durable-fsync",
-                EngineConfig {
-                    durability: DurabilityMode::FsyncPerCommit,
-                    ..EngineConfig::default()
-                },
-            ),
-            (
-                "durable-group",
-                EngineConfig {
-                    durability: DurabilityMode::GroupCommit { window_us: 500 },
-                    ..EngineConfig::default()
-                },
-            ),
-            (
                 "live-certify",
                 EngineConfig {
                     live_certify: true,
@@ -254,11 +235,7 @@ impl EngineConfig {
         o.num("backoff_round_us", self.backoff_round_us)
             .num("access_latency_us", self.access_latency_us)
             .num("max_wall_ms", self.max_wall_ms)
-            .str("durability", self.durability.tag());
-        if let DurabilityMode::GroupCommit { window_us } = self.durability {
-            o.num("group_commit_window_us", window_us);
-        }
-        o.bool("live_certify", self.live_certify);
+            .bool("live_certify", self.live_certify);
         o.build()
     }
 
@@ -272,7 +249,7 @@ impl EngineConfig {
         let Json::Obj(map) = &parsed else {
             return Err("engine config must be a JSON object".to_string());
         };
-        const KNOWN: [&str; 10] = [
+        const KNOWN: [&str; 8] = [
             "threads",
             "shards",
             "detector_period_us",
@@ -280,8 +257,6 @@ impl EngineConfig {
             "backoff_round_us",
             "access_latency_us",
             "max_wall_ms",
-            "durability",
-            "group_commit_window_us",
             "live_certify",
         ];
         for key in map.keys() {
@@ -323,23 +298,6 @@ impl EngineConfig {
             }
             Some(_) => return Err("backoff must be an object or null".to_string()),
         };
-        // Optional for compatibility with pre-durability documents.
-        let durability = match parsed.get("durability") {
-            None => {
-                if parsed.get("group_commit_window_us").is_some() {
-                    return Err("group_commit_window_us requires durability \"group\"".to_string());
-                }
-                DurabilityMode::None
-            }
-            Some(Json::Str(tag)) => {
-                let window = match parsed.get("group_commit_window_us") {
-                    None => None,
-                    Some(_) => Some(uint("group_commit_window_us")?),
-                };
-                DurabilityMode::from_tag(tag, window)?
-            }
-            Some(_) => return Err("durability must be a string tag".to_string()),
-        };
         // Optional for compatibility with pre-live-certify documents.
         let live_certify = match parsed.get("live_certify") {
             None => false,
@@ -354,7 +312,6 @@ impl EngineConfig {
             backoff_round_us: uint("backoff_round_us")?,
             access_latency_us: uint("access_latency_us")?,
             max_wall_ms: uint("max_wall_ms")?,
-            durability,
             live_certify,
         })
     }
@@ -414,30 +371,19 @@ mod tests {
             DurabilityMode::FsyncPerCommit,
             DurabilityMode::GroupCommit { window_us: 250 },
         ] {
-            let cfg = EngineConfig {
-                durability: mode,
-                ..EngineConfig::default()
+            assert!(mode.problems().is_empty(), "{mode}: {:?}", mode.problems());
+            let window = match mode {
+                DurabilityMode::GroupCommit { window_us } => Some(window_us),
+                _ => None,
             };
-            assert!(cfg.problems().is_empty(), "{mode}: {:?}", cfg.problems());
             assert_eq!(
-                EngineConfig::from_json(&cfg.to_json()).expect("round trip"),
-                cfg
+                DurabilityMode::from_tag(mode.tag(), window).expect("round trip"),
+                mode
             );
         }
         // A zero group window is structurally parseable but semantically bad.
-        let zero = EngineConfig {
-            durability: DurabilityMode::GroupCommit { window_us: 0 },
-            ..EngineConfig::default()
-        };
+        let zero = DurabilityMode::from_tag("group", Some(0)).expect("parses");
         assert_eq!(zero.problems().len(), 1);
-        // Missing durability defaults to none (pre-durability documents).
-        let legacy = EngineConfig::default()
-            .to_json()
-            .replace(",\"durability\":\"none\"", "");
-        assert_eq!(
-            EngineConfig::from_json(&legacy).expect("legacy doc"),
-            EngineConfig::default()
-        );
         // Tag/window mismatches are structural errors.
         assert!(DurabilityMode::from_tag("group", None).is_err());
         assert!(DurabilityMode::from_tag("fsync", Some(5)).is_err());

@@ -1,21 +1,26 @@
 //! # nt-engine
 //!
 //! A multi-threaded nested-transaction engine. Everything else in the
-//! workspace executes serially under a logical clock; this crate runs the
-//! same `WorkloadSpec`/`ScriptedTx` workloads under genuine OS-thread
-//! concurrency and then *proves* each run correct after the fact:
+//! workspace executes serially under a logical clock; this crate runs
+//! transactions under genuine OS-thread concurrency and then *proves* each
+//! run correct after the fact. There is one execution path, the
+//! [`SessionEngine`]: the networked server opens a [`Session`] per client
+//! connection, and the batch driver ([`run_plan`]) opens one per worker
+//! thread to walk the same `WorkloadSpec`/`ScriptedTx` plans the
+//! simulator runs.
 //!
 //! * a **sharded lock table** ([`LockTable`]) implements Moss' read/write
 //!   locking rules (§5.2) — the same [`nt_locking::moss_precondition`] the
 //!   simulated `M1_X` automaton uses — with real blocking on condition
 //!   variables and fair (earliest-eligible-ticket) wakeup;
-//! * a **wait-for-graph deadlock detector** (a dedicated thread) dooms one
-//!   victim per detected cycle, chosen as the lowest incomplete transaction
-//!   on a blocker's ancestor chain (mirroring the simulator's policy);
-//!   victims flow into the `nt-faults` retry/backoff machinery via the
-//!   workload's pre-materialized replica chains;
+//! * a **wait-for-graph deadlock detector** (the session engine's one
+//!   detector thread) dooms one victim per detected cycle, chosen as the
+//!   lowest incomplete transaction on a blocker's ancestor chain
+//!   (mirroring the simulator's policy); in batch runs, victims flow into
+//!   the `nt-faults` retry/backoff machinery via the workload's
+//!   pre-materialized replica chains;
 //! * a **concurrent history recorder** ([`recorder`]) stamps every action
-//!   from one global sequence counter into per-worker append buffers;
+//!   from one global sequence counter into per-session append buffers;
 //!   object-level actions are stamped while the owning lock shard is held,
 //!   so the merged history linearizes exactly the synchronization the
 //!   engine actually performed;
@@ -23,11 +28,11 @@
 //!   concurrent run against Theorem 17 post-hoc: the serialization graph
 //!   must be acyclic and every return value appropriate.
 //!
-//! The engine executes each top-level transaction's subtree depth-first on
-//! one worker (a legal interleaving for both `Parallel` and `Sequential`
-//! child orders — transaction well-formedness never *requires* intra-
-//! transaction concurrency); concurrency happens *between* top-level
-//! transactions, which is where the paper's serializability questions live.
+//! Each session drives its top-level transactions' subtrees depth-first
+//! (a legal interleaving for both `Parallel` and `Sequential` child orders
+//! — transaction well-formedness never *requires* intra-transaction
+//! concurrency); concurrency happens *between* top-level transactions,
+//! which is where the paper's serializability questions live.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +47,6 @@ pub mod status;
 pub mod tree_view;
 
 pub use config::{DurabilityMode, EngineConfig};
-pub use detector::DetectorOutcome;
 pub use locktable::{Acquired, LockTable, ShardCounters};
 pub use nt_sgt_live::{FeedHandle, LiveCertifier, LiveStatus};
 pub use recorder::{ActionSink, SeqClock, WorkerLog};

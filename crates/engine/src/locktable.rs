@@ -136,8 +136,9 @@ struct Shard {
 }
 
 /// The sharded lock manager, generic over the tree representation: the
-/// batch engine passes a frozen `Arc<TxTree>` (the default), the session
-/// engine a growable [`SessionTree`](crate::session_tree::SessionTree).
+/// session engine passes a growable
+/// [`SessionTree`](crate::session_tree::SessionTree); a frozen
+/// `Arc<TxTree>` (the default) lets tests drive a table directly.
 pub struct LockTable<T: TreeView = Arc<TxTree>> {
     tree: T,
     status: Arc<StatusTable>,
@@ -440,19 +441,6 @@ impl<T: TreeView> LockTable<T> {
         self.notify_all_shards();
     }
 
-    /// Did the watchdog fire?
-    pub fn gave_up(&self) -> bool {
-        self.give_up.load(Ordering::Acquire)
-    }
-
-    /// Drain the per-shard object-action logs (after the run).
-    pub fn drain_logs(&self) -> Vec<WorkerLog> {
-        self.shards
-            .iter()
-            .map(|s| std::mem::take(&mut s.state.lock().expect("shard poisoned").log))
-            .collect()
-    }
-
     /// Ship every shard log's buffered feed entries to the live
     /// certifier now. Feed sends are batched at transaction resolutions
     /// ([`WorkerLog::record`]); a certifier barrier (`CERT`) needs the
@@ -463,9 +451,9 @@ impl<T: TreeView> LockTable<T> {
         }
     }
 
-    /// Clone the per-shard object-action logs without draining them — the
-    /// session engine's `HISTORY_FETCH` snapshots a live server whose
-    /// shards keep recording afterwards.
+    /// Clone the per-shard object-action logs — the session engine's
+    /// history snapshot (`HISTORY_FETCH`, the end of a batch run); a live
+    /// server's shards keep recording afterwards.
     pub fn snapshot_logs(&self) -> Vec<WorkerLog> {
         self.shards
             .iter()

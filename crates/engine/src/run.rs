@@ -1,53 +1,54 @@
-//! The engine proper: a pool of OS-thread workers executing a workload's
-//! script plans under the sharded lock table, with a detector thread on the
-//! side and a post-hoc certification hook.
+//! The batch driver: runs a workload's script plans on the session
+//! engine the server runs, with a wall-clock watchdog and a post-hoc
+//! certification hook.
 //!
 //! ## Execution model
 //!
-//! Workers claim top-level slots from a shared counter and execute each
-//! claimed subtree *depth-first* on one thread — a legal interleaving for
-//! both `Parallel` and `Sequential` child orders (transaction
-//! well-formedness never requires intra-transaction concurrency).
-//! Concurrency happens between top-level transactions, which is where the
-//! paper's serializability questions live.
+//! [`run_plan`] starts one [`SessionEngine`] and `cfg.threads` worker
+//! threads, each with one [`Session`]. Workers claim top-level slots from a
+//! shared counter and walk each claimed subtree *depth-first* — a legal
+//! interleaving for both `Parallel` and `Sequential` child orders
+//! (transaction well-formedness never requires intra-transaction
+//! concurrency). Concurrency happens between top-level transactions, which
+//! is where the paper's serializability questions live.
 //!
-//! Every serial action a frame performs is stamped into the worker's
-//! private log; object-level actions (`REQUEST_COMMIT` answers,
-//! `INFORM_*`) are stamped by the lock table while the owning shard mutex
-//! is held. Merging all logs by stamp therefore yields a history that
-//! refines both per-worker program order and each object's actual
-//! serialization — the history the run *really* performed, which
-//! [`EngineReport::certify`] then proves serially correct (or not) via
-//! `nt_sgt::certify_recorded`.
+//! The walk only maps plan nodes onto session calls: a top-level slot is
+//! `begin_top`, an inner child `begin_child`, an access `access` (then the
+//! configured storage latency, slept while the parent holds the inherited
+//! lock), a finished frame `commit`. Creation, locking, lock inheritance,
+//! abort discards, recording and deadlock detection are the session
+//! engine's — the same code that serves network clients — so
+//! [`EngineReport::certify`] proves that code serially correct (or not)
+//! via `nt_sgt::certify_recorded`. The session engine numbers transactions
+//! in registration order, so the report's tree, history and victims use
+//! those ids, not the plan's.
 //!
 //! ## Doom and unwinding
 //!
 //! The detector (or watchdog) dooms a victim through the status table; the
-//! victim's worker notices at its next blocked acquire, frame entry, or
-//! commit attempt, unwinds its call stack to the victim's frame
-//! ([`TxResult::Doomed`] carries the target), aborts exactly that subtree
-//! (one `ABORT`, one `INFORM_ABORT` per touched object, one
-//! `REPORT_ABORT`), and — when the config enables backoff — re-runs the
-//! slot with the workload's next pre-materialized replica after a real
-//! wall-clock backoff sleep.
+//! session notices at the victim subtree's next operation, aborts exactly
+//! that subtree and reports it as `Aborted(v)`. The walk unwinds to `v`'s
+//! frame (a `v` that is no open frame is the access itself) and — when the
+//! config enables backoff — re-runs the slot with the workload's next
+//! pre-materialized replica after a real wall-clock backoff sleep.
 
 use crate::config::EngineConfig;
 pub use crate::detector::Victim;
-use crate::detector::{detect_loop, DetectorOutcome};
-use crate::locktable::{Acquired, LockTable};
-use crate::recorder::{merge, SeqClock, WorkerLog};
-use crate::status::StatusTable;
+use crate::session::{
+    AccessOutcome, BeginOutcome, CommitOutcome, RecoveredSeed, Session, SessionEngine, SessionError,
+};
 use nt_faults::{RetryLedger, RetryOutcome, RetryRecord};
 use nt_model::rw::RwInitials;
-use nt_model::{Action, ObjId, TxId, TxTree, Value};
+use nt_model::{Action, ObjId, TxId, TxTree};
 use nt_obs::{Event, TraceHandle};
 use nt_serial::ObjectTypes;
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
-use nt_sgt_live::{FeedHandle, LiveCertifier, LiveStatus, SgtConfig};
+use nt_sgt_live::{LiveCertifier, LiveStatus, SgtConfig};
 use nt_sim::{ScriptPlan, Workload};
 use nt_telemetry::{HistSnapshot, TelemetryHandle};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,13 +86,17 @@ impl EnginePlan {
     /// Structural validation: every inner transaction has a plan, every
     /// access is a read/write-register operation (the lock table implements
     /// Moss' read/write rules; other data types belong to the simulator's
-    /// commutativity-based protocols).
+    /// commutativity-based protocols) under an inner parent (a session
+    /// begins every top-level transaction as an inner one).
     fn validate(&self) -> Result<(), String> {
         for t in self.tree.all_tx() {
             if t == TxId::ROOT {
                 continue;
             }
             if self.tree.is_access(t) {
+                if self.tree.parent(t) == Some(TxId::ROOT) {
+                    return Err(format!("access {t} is a top-level transaction"));
+                }
                 let op = self.tree.op_of(t).expect("access carries an op");
                 if !op.is_rw_read() && !op.is_rw_write() {
                     return Err(format!(
@@ -115,7 +120,7 @@ pub struct EngineStats {
     /// Acquisitions that parked at least once.
     pub blocked: u64,
     /// Grants that landed only after a timed-out condvar wait (see
-    /// [`LockTable::timeout_rescues`]).
+    /// [`LockTable::timeout_rescues`](crate::LockTable::timeout_rescues)).
     pub timeout_rescues: u64,
     /// Deadlock-detector scan passes.
     pub detector_passes: u64,
@@ -123,7 +128,8 @@ pub struct EngineStats {
 
 /// The outcome of one threaded run.
 pub struct EngineReport {
-    /// The tree the run executed (for certification).
+    /// The transactions the run registered, numbered by the session
+    /// engine in registration order (for certification).
     pub tree: Arc<TxTree>,
     /// Serial types (for certification).
     pub types: ObjectTypes,
@@ -133,9 +139,10 @@ pub struct EngineReport {
     pub committed_top: usize,
     /// Top-level slots that failed (every attempt aborted).
     pub aborted_top: usize,
-    /// Deadlock victims, in doom order.
+    /// Deadlock victims, in doom order (ids of [`tree`](Self::tree)).
     pub victims: Vec<Victim>,
-    /// Per-slot retry ledger (only slots that carry replica chains).
+    /// Per-slot retry ledger (only slots that carry replica chains), keyed
+    /// by the plan's ids.
     pub ledger: RetryLedger,
     /// Did the wall-clock watchdog abandon the run?
     pub gave_up: bool,
@@ -191,133 +198,87 @@ impl EngineReport {
     }
 }
 
-/// How one frame of the depth-first execution resolved.
-enum TxResult {
-    Committed,
-    Aborted,
-    /// A *proper ancestor* of this frame was doomed: unwind (recording
-    /// nothing) until the ancestor's own frame aborts it.
-    Doomed(TxId),
-}
+/// How a walked frame ended: `Ok(committed)`, or `Err(v)` when the
+/// session aborted `v`, an enclosing open frame, and the walk must unwind
+/// to it.
+type Resolved = Result<bool, TxId>;
 
-/// How one child slot (original + optional replica attempts) resolved.
-enum SlotResult {
-    Committed,
-    Failed,
-    Doomed(TxId),
-}
-
-/// Shared per-run context.
-struct Ctx<'a> {
+/// One worker's depth-first walk over its claimed slots. The session does
+/// the protocol; the walker maps plan nodes to session transactions and
+/// picks retries.
+struct Walker<'a> {
     plan: &'a EnginePlan,
     cfg: &'a EngineConfig,
-    table: &'a LockTable,
-    status: &'a StatusTable,
-    clock: &'a SeqClock,
-    next_slot: &'a AtomicUsize,
-    feed: Option<FeedHandle>,
-}
-
-/// One worker thread's state.
-struct Worker<'a> {
-    ctx: &'a Ctx<'a>,
-    log: WorkerLog,
-    /// Objects whose locks each live transaction currently holds (from this
-    /// worker's subtrees). Inherited upward on commit, discarded on abort.
-    held: BTreeMap<TxId, BTreeSet<ObjId>>,
+    gave_up: &'a AtomicBool,
+    session: Session,
+    /// Session ids of the open inner frames, outermost first.
+    frames: Vec<TxId>,
     records: Vec<RetryRecord>,
     committed_top: usize,
     aborted_top: usize,
     top_lat: HistSnapshot,
 }
 
-impl<'a> Worker<'a> {
-    fn new(ctx: &'a Ctx<'a>) -> Self {
-        let log = match &ctx.feed {
-            Some(f) => WorkerLog::new().with_feed(f.clone()),
-            None => WorkerLog::new(),
-        };
-        Worker {
-            ctx,
-            log,
-            held: BTreeMap::new(),
-            records: Vec::new(),
-            committed_top: 0,
-            aborted_top: 0,
-            top_lat: HistSnapshot::new(),
-        }
-    }
+/// Unwrap a session call the driver made; a refusal means the plan and
+/// the driver disagree (validation or capacity sizing is wrong).
+fn accepted<T>(r: Result<T, SessionError>, p: TxId) -> T {
+    r.unwrap_or_else(|e| panic!("session refused plan transaction {p}: {e}"))
+}
 
-    fn tree(&self) -> &TxTree {
-        &self.ctx.plan.tree
-    }
-
-    /// Pull and run top-level slots until the shared counter runs out.
-    fn run(&mut self) {
+impl Walker<'_> {
+    /// Pull and walk top-level slots until the shared counter runs out.
+    /// After the watchdog fires, unclaimed slots count as aborted unrun.
+    fn drive(&mut self, next_slot: &AtomicUsize) {
         loop {
-            let i = self.ctx.next_slot.fetch_add(1, Ordering::Relaxed);
-            if i >= self.ctx.plan.top.len() {
+            let i = next_slot.fetch_add(1, Ordering::Relaxed);
+            let Some(&original) = self.plan.top.get(i) else {
                 return;
+            };
+            if self.gave_up.load(Ordering::Acquire) {
+                self.aborted_top += 1;
+                continue;
             }
-            let original = self.ctx.plan.top[i];
             let slot_start = Instant::now();
-            match self.run_slot(TxId::ROOT, i, original) {
-                SlotResult::Committed => self.committed_top += 1,
-                SlotResult::Failed => self.aborted_top += 1,
-                SlotResult::Doomed(_) => {
-                    // Unreachable: a top-level frame has no proper ancestor
-                    // below T0 to unwind to. Count it as failed defensively.
-                    debug_assert!(false, "top-level slot cannot unwind past T0");
-                    self.aborted_top += 1;
-                }
+            // A top frame catches every unwind of its subtree.
+            if self.slot(TxId::ROOT, i, original) == Ok(true) {
+                self.committed_top += 1;
+            } else {
+                self.aborted_top += 1;
             }
             self.top_lat
                 .observe(slot_start.elapsed().as_micros() as u64);
         }
     }
 
-    /// Run slot `slot_idx` of `parent`: the original child, then — when the
-    /// config enables backoff — each pre-materialized replica after a real
-    /// backoff sleep. A failed slot does not prevent the parent's commit
-    /// (mirroring `ScriptedTx`).
-    fn run_slot(&mut self, parent: TxId, slot_idx: usize, original: TxId) -> SlotResult {
+    /// Walk slot `idx` of plan transaction `parent`: the original child,
+    /// then — when the config enables backoff — each pre-materialized
+    /// replica after a real backoff sleep. A failed slot does not prevent
+    /// the parent's commit (mirroring `ScriptedTx`).
+    fn slot(&mut self, parent: TxId, idx: usize, original: TxId) -> Resolved {
         static EMPTY: Vec<TxId> = Vec::new();
-        let chain: &Vec<TxId> = if self.ctx.cfg.backoff.is_some() {
-            self.ctx
-                .plan
-                .retry_chains
-                .get(&parent)
-                .map(|chains| &chains[slot_idx])
-                .unwrap_or(&EMPTY)
-        } else {
-            &EMPTY
+        let plan = self.plan;
+        let chain = match self.cfg.backoff {
+            Some(_) => plan.retry_chains.get(&parent).map_or(&EMPTY, |c| &c[idx]),
+            None => &EMPTY,
         };
-        for (k, &attempt) in std::iter::once(&original).chain(chain.iter()).enumerate() {
+        for (k, &attempt) in std::iter::once(&original).chain(chain).enumerate() {
             if k > 0 {
-                if self.ctx.table.gave_up() {
+                if self.gave_up.load(Ordering::Acquire) {
                     break;
                 }
-                let policy = self.ctx.cfg.backoff.as_ref().expect("chain implies policy");
+                let policy = self.cfg.backoff.as_ref().expect("chain implies policy");
                 let rounds = policy.delay(k as u32);
-                std::thread::sleep(Duration::from_micros(
-                    rounds * self.ctx.cfg.backoff_round_us,
-                ));
+                std::thread::sleep(Duration::from_micros(rounds * self.cfg.backoff_round_us));
             }
-            self.log
-                .record(self.ctx.clock, Action::RequestCreate(attempt));
-            match self.run_tx(attempt) {
-                TxResult::Committed => {
-                    if !chain.is_empty() {
-                        self.records.push(RetryRecord {
-                            original: original.0,
-                            retries: k as u32,
-                            outcome: RetryOutcome::Committed,
-                        });
-                    }
-                    return SlotResult::Committed;
+            if self.walk(attempt)? {
+                if !chain.is_empty() {
+                    self.records.push(RetryRecord {
+                        original: original.0,
+                        retries: k as u32,
+                        outcome: RetryOutcome::Committed,
+                    });
                 }
-                TxResult::Aborted => continue,
-                TxResult::Doomed(d) => return SlotResult::Doomed(d),
+                return Ok(true);
             }
         }
         if !chain.is_empty() {
@@ -327,129 +288,58 @@ impl<'a> Worker<'a> {
                 outcome: RetryOutcome::Exhausted,
             });
         }
-        SlotResult::Failed
+        Ok(false)
     }
 
-    /// Execute transaction `t` (its `REQUEST_CREATE` is already recorded).
-    fn run_tx(&mut self, t: TxId) -> TxResult {
-        if let Some(d) = self.doomed_ancestor_or_giveup(t) {
-            return if d == t {
-                self.abort_tx(t);
-                TxResult::Aborted
-            } else {
-                TxResult::Doomed(d)
+    /// Walk plan transaction `p` under the innermost open frame (as a new
+    /// top-level transaction when no frame is open).
+    fn walk(&mut self, p: TxId) -> Resolved {
+        let plan = self.plan;
+        if let Some(x) = plan.tree.object_of(p) {
+            let parent = *self.frames.last().expect("accesses run inside a frame");
+            let op = plan.tree.op_of(p).expect("access carries an op").clone();
+            return match accepted(self.session.access(parent, x, op), p) {
+                AccessOutcome::Done(_) => {
+                    if self.cfg.access_latency_us > 0 {
+                        std::thread::sleep(Duration::from_micros(self.cfg.access_latency_us));
+                    }
+                    Ok(true)
+                }
+                AccessOutcome::Aborted(v) => self.unwind(v),
             };
         }
-        self.log.record(self.ctx.clock, Action::Create(t));
-        if self.tree().is_access(t) {
-            self.run_access(t)
+        let t = match self.frames.last() {
+            None => accepted(self.session.begin_top(), p),
+            Some(&parent) => match accepted(self.session.begin_child(parent), p) {
+                BeginOutcome::Fresh(t) => t,
+                BeginOutcome::Aborted(v) => return self.unwind(v),
+            },
+        };
+        self.frames.push(t);
+        let end = plan.plans[&p]
+            .children
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, &c)| self.slot(p, i, c).map(drop))
+            .and_then(|()| match accepted(self.session.commit(t), p) {
+                CommitOutcome::Committed => Ok(true),
+                CommitOutcome::Aborted(v) => Err(v),
+            });
+        self.frames.pop();
+        match end {
+            Err(v) if v == t => Ok(false),
+            other => other,
+        }
+    }
+
+    /// The session aborted `v`: unwind to its frame, or — when `v` is no
+    /// open frame — it was the access itself, whose slot simply failed.
+    fn unwind(&self, v: TxId) -> Resolved {
+        if self.frames.contains(&v) {
+            Err(v)
         } else {
-            self.run_inner(t)
+            Ok(false)
         }
-    }
-
-    /// `doomed_ancestor`, also treating watchdog give-up as dooming the
-    /// frame's top-level ancestor (so stragglers stop starting new work).
-    fn doomed_ancestor_or_giveup(&self, t: TxId) -> Option<TxId> {
-        self.ctx.status.doomed_ancestor(self.tree(), t).or_else(|| {
-            if self.ctx.table.gave_up() {
-                Some(self.tree().child_toward(TxId::ROOT, t))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// An access: acquire the Moss lock (blocking), hold it across the
-    /// configured storage latency, then commit and pass the lock up.
-    fn run_access(&mut self, t: TxId) -> TxResult {
-        let x = self.tree().object_of(t).expect("access names an object");
-        let op = self.tree().op_of(t).expect("access carries an op").clone();
-        match self.ctx.table.acquire(t, x, &op) {
-            Acquired::Doomed(d) => {
-                if d == t {
-                    self.abort_tx(t);
-                    TxResult::Aborted
-                } else {
-                    TxResult::Doomed(d)
-                }
-            }
-            Acquired::Granted(v) => {
-                self.held.entry(t).or_default().insert(x);
-                if self.ctx.cfg.access_latency_us > 0 {
-                    std::thread::sleep(Duration::from_micros(self.ctx.cfg.access_latency_us));
-                }
-                self.commit_tx(t, v)
-            }
-        }
-    }
-
-    /// An inner transaction: run every child slot depth-first, then request
-    /// commit and commit (unless doomed meanwhile).
-    fn run_inner(&mut self, t: TxId) -> TxResult {
-        let children = self.ctx.plan.plans[&t].children.clone();
-        for (i, &c) in children.iter().enumerate() {
-            match self.run_slot(t, i, c) {
-                SlotResult::Committed | SlotResult::Failed => {}
-                SlotResult::Doomed(d) => {
-                    return if d == t {
-                        self.abort_tx(t);
-                        TxResult::Aborted
-                    } else {
-                        TxResult::Doomed(d)
-                    };
-                }
-            }
-        }
-        self.log
-            .record(self.ctx.clock, Action::RequestCommit(t, Value::Ok));
-        self.commit_tx(t, Value::Ok)
-    }
-
-    /// Commit `t` through the status CAS; on success inherit its locks to
-    /// the parent, on failure (doomed meanwhile) take the abort path.
-    fn commit_tx(&mut self, t: TxId, v: Value) -> TxResult {
-        if self.ctx.status.try_commit(t) {
-            self.log.record(self.ctx.clock, Action::Commit(t));
-            if let Some(objs) = self.held.remove(&t) {
-                self.ctx.table.release_inherit(t, objs.iter().copied());
-                let parent = self.tree().parent(t).expect("non-root commits");
-                self.held.entry(parent).or_default().extend(objs);
-            }
-            self.log.record(self.ctx.clock, Action::ReportCommit(t, v));
-            TxResult::Committed
-        } else {
-            let d = self.doomed_ancestor_or_giveup(t).unwrap_or(t);
-            if d == t {
-                self.abort_tx(t);
-                TxResult::Aborted
-            } else {
-                TxResult::Doomed(d)
-            }
-        }
-    }
-
-    /// Abort `t`: `ABORT`, one `INFORM_ABORT` per object a descendant-or-
-    /// self holds locks on (discarding them), `REPORT_ABORT`.
-    fn abort_tx(&mut self, t: TxId) {
-        self.ctx.status.mark_aborted(t);
-        self.log.record(self.ctx.clock, Action::Abort(t));
-        let mut discarded: BTreeSet<ObjId> = BTreeSet::new();
-        let dead: Vec<TxId> = self
-            .held
-            .keys()
-            .copied()
-            .filter(|&h| self.tree().is_ancestor(t, h))
-            .collect();
-        for h in dead {
-            if let Some(objs) = self.held.remove(&h) {
-                discarded.extend(objs);
-            }
-        }
-        if !discarded.is_empty() {
-            self.ctx.table.discard(t, discarded.iter().copied());
-        }
-        self.log.record(self.ctx.clock, Action::ReportAbort(t));
     }
 }
 
@@ -481,126 +371,105 @@ pub fn run_plan_gated(
     run_plan(plan, cfg)
 }
 
-/// Run an [`EnginePlan`] on the threaded engine: `cfg.threads` workers, a
-/// sharded lock table, a detector thread, and a merged recorded history.
+/// Run an [`EnginePlan`] on the session engine: `cfg.threads` workers,
+/// one [`Session`] each, the engine's sharded lock table and detector
+/// thread, and a watchdog that abandons the run after `cfg.max_wall_ms`.
 pub fn run_plan(plan: &EnginePlan, cfg: &EngineConfig) -> Result<EngineReport, String> {
     cfg.validate()?;
     plan.validate()?;
-    let status = Arc::new(StatusTable::new(plan.tree.len()));
-    let clock = Arc::new(SeqClock::new());
-    // Live certification: the whole (static) naming tree seeds the
-    // maintainer before any action is stamped, then every log sharing
-    // the clock carries the feed (the maintainer advances through a
-    // contiguous stamp sequence, so none may be left out).
-    let live_cert = cfg.live_certify.then(|| {
-        let lc = LiveCertifier::start(SgtConfig::default(), TelemetryHandle::disabled());
-        let feed = lc.handle();
-        for t in plan.tree.all_tx() {
-            if t == TxId::ROOT {
-                continue;
-            }
-            let parent = plan.tree.parent(t).expect("non-root has a parent");
-            let access = plan
-                .tree
-                .object_of(t)
-                .map(|x| (x, plan.tree.op_of(t).expect("access has an op").clone()));
-            feed.tree_add(t, parent, access);
-        }
-        lc
-    });
-    let feed = live_cert.as_ref().map(LiveCertifier::handle);
-    let mut table = LockTable::new(
-        Arc::clone(&plan.tree),
-        Arc::clone(&status),
-        Arc::clone(&clock),
-        plan.initials.clone(),
+    let live_cert = cfg
+        .live_certify
+        .then(|| LiveCertifier::start(SgtConfig::default(), TelemetryHandle::disabled()));
+    let seed = RecoveredSeed {
+        initials: (0..plan.tree.num_objects())
+            .map(|i| {
+                let x = ObjId(i as u32);
+                (x, plan.initials.initial(x))
+            })
+            .collect(),
+        ..RecoveredSeed::default()
+    };
+    // Every executed transaction is a distinct plan node, so the plan's
+    // tree size bounds the session tree exactly.
+    let engine = SessionEngine::start_recovered(
+        plan.tree.len(),
         cfg.shards,
-    );
-    if let Some(f) = &feed {
-        table = table.with_feed(f.clone());
-    }
-    let table = table;
+        Duration::from_micros(cfg.detector_period_us),
+        TelemetryHandle::disabled(),
+        seed,
+        None,
+        live_cert.as_ref().map(LiveCertifier::handle),
+    )
+    .map_err(|e| format!("session engine refused the plan: {e}"))?;
     let next_slot = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let ctx = Ctx {
-        plan,
-        cfg,
-        table: &table,
-        status: &status,
-        clock: &clock,
-        next_slot: &next_slot,
-        feed: feed.clone(),
-    };
-    let mut main_log = match &feed {
-        Some(f) => WorkerLog::new().with_feed(f.clone()),
-        None => WorkerLog::new(),
-    };
-    main_log.record(&clock, Action::Create(TxId::ROOT));
+    let gave_up = AtomicBool::new(false);
     let start = Instant::now();
-    let (workers, detector) = std::thread::scope(|s| {
-        let detector_handle = s.spawn(|| {
-            detect_loop(
-                &plan.tree,
-                &status,
-                &table,
-                &plan.top,
-                Duration::from_micros(cfg.detector_period_us),
-                Duration::from_millis(cfg.max_wall_ms),
-                start,
-                &stop,
-            )
+    let workers: Vec<_> = std::thread::scope(|s| {
+        let (done, finished) = mpsc::channel::<()>();
+        let (watched, flag) = (&engine, &gave_up);
+        s.spawn(move || {
+            let max_wall = Duration::from_millis(cfg.max_wall_ms);
+            if finished.recv_timeout(max_wall) == Err(RecvTimeoutError::Timeout) {
+                flag.store(true, Ordering::Release);
+                watched.give_up();
+            }
         });
-        let worker_handles: Vec<_> = (0..cfg.threads)
+        let handles: Vec<_> = (0..cfg.threads)
             .map(|_| {
                 s.spawn(|| {
-                    let mut w = Worker::new(&ctx);
-                    w.run();
-                    (w.log, w.records, w.committed_top, w.aborted_top, w.top_lat)
+                    let mut w = Walker {
+                        plan,
+                        cfg,
+                        gave_up: &gave_up,
+                        session: engine.open_session(),
+                        frames: Vec::new(),
+                        records: Vec::new(),
+                        committed_top: 0,
+                        aborted_top: 0,
+                        top_lat: HistSnapshot::new(),
+                    };
+                    w.drive(&next_slot);
+                    (w.records, w.committed_top, w.aborted_top, w.top_lat)
                 })
             })
             .collect();
-        let workers: Vec<_> = worker_handles
+        let workers = handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect();
-        stop.store(true, Ordering::Release);
-        let detector: DetectorOutcome = detector_handle.join().expect("detector panicked");
-        (workers, detector)
+        drop(done);
+        workers
     });
     let wall = start.elapsed();
+    engine.shutdown();
     let mut committed_top = 0;
     let mut aborted_top = 0;
     let mut records = Vec::new();
-    let mut logs = vec![main_log];
     let mut top_latency = HistSnapshot::new();
-    for (log, recs, c, a, lat) in workers {
-        logs.push(log);
+    for (recs, c, a, lat) in workers {
         records.extend(recs);
         committed_top += c;
         aborted_top += a;
         top_latency.merge(&lat);
     }
-    logs.extend(table.drain_logs());
-    let history = merge(logs);
-    let live = live_cert.map(|lc| {
-        let (status, _maintainer) = lc.stop();
-        status
-    });
+    engine.flush_feeds();
+    let (tree, history) = engine.history_snapshot();
+    let live = live_cert.map(|lc| lc.stop().0);
     Ok(EngineReport {
-        tree: Arc::clone(&plan.tree),
+        tree: Arc::new(tree),
         types: plan.types.clone(),
         history,
         committed_top,
         aborted_top,
-        victims: detector.victims,
+        victims: engine.victims(),
         ledger: RetryLedger { records },
-        gave_up: detector.gave_up,
+        gave_up: gave_up.into_inner(),
         wall,
         stats: EngineStats {
-            granted: table.granted(),
-            blocked: table.blocked(),
-            timeout_rescues: table.timeout_rescues(),
-            detector_passes: detector.passes,
+            granted: engine.lock_grants(),
+            blocked: engine.lock_blocks(),
+            timeout_rescues: engine.timeout_rescues(),
+            detector_passes: engine.detector_passes(),
         },
         top_latency,
         live,
@@ -672,6 +541,35 @@ mod tests {
         assert!(
             cert.is_serially_correct(),
             "contended run must certify: {}",
+            cert.verdict.name()
+        );
+    }
+
+    #[test]
+    fn watchdog_abandons_the_run_and_the_history_still_certifies() {
+        let w = WorkloadSpec {
+            top_level: 12,
+            objects: 3,
+            hotspot: 0.5,
+            seed: 7,
+            ..WorkloadSpec::default()
+        }
+        .generate();
+        let cfg = EngineConfig {
+            threads: 4,
+            shards: 4,
+            access_latency_us: 5_000,
+            max_wall_ms: 1,
+            ..EngineConfig::default()
+        };
+        let r = run_workload(&w, &cfg).expect("runs");
+        assert!(r.gave_up, "a 1 ms budget must trip the watchdog");
+        assert_eq!(r.committed_top + r.aborted_top, w.top.len());
+        assert!(r.aborted_top > 0, "abandoned tops count as aborted");
+        let cert = r.certify();
+        assert!(
+            cert.is_serially_correct(),
+            "an abandoned run must still certify: {}",
             cert.verdict.name()
         );
     }

@@ -1,22 +1,27 @@
-//! Session-scoped transaction handles: the external-client entry point the
-//! networked server (`nt-net`) drives.
+//! The engine's one execution path: session-scoped transaction handles
+//! over a shared engine. The networked server (`nt-net`) opens one
+//! [`Session`] per client connection; the batch driver
+//! ([`run_plan`](crate::run_plan)) opens one per worker thread and walks a
+//! frozen plan through it.
 //!
-//! The batch engine ([`run_plan`](crate::run_plan)) executes a frozen plan;
-//! here instead each connected client *interactively* grows the tree —
-//! `begin_top` / `begin_child` / `access` / `commit` / `abort` — against a
-//! shared [`SessionTree`], the same sharded [`LockTable`], the same status
-//! table, and the same global [`SeqClock`] recorder. A detector thread
-//! watches the wait-for graph exactly as in the batch engine, dooming one
-//! victim per cycle; a session discovers the doom at its next operation on
-//! the victim's subtree, aborts precisely that subtree (one `ABORT`, the
-//! `INFORM_ABORT`s, one `REPORT_ABORT`), and reports the victim to the
-//! client so it can retry the whole top-level transaction.
+//! Each session *interactively* grows the tree — `begin_top` /
+//! `begin_child` / `access` / `commit` / `abort` — against a shared
+//! [`SessionTree`], one sharded [`LockTable`], one status table, and one
+//! global [`SeqClock`] recorder. The engine's detector thread — the only
+//! detector loop — watches the wait-for graph, dooming one victim per
+//! cycle; a session discovers the doom at its next operation on the
+//! victim's subtree, aborts precisely that subtree (one `ABORT`, the
+//! `INFORM_ABORT`s, one `REPORT_ABORT`), and reports the victim so the
+//! caller can unwind and retry. [`SessionEngine::give_up`] is the
+//! watchdog's hook: it dooms every incomplete top-level transaction at
+//! once.
 //!
 //! Every action is stamped into per-session logs (serial actions) and the
 //! lock shards' logs (object actions), so
-//! [`SessionEngine::history_snapshot`] merges to a recorded history with
-//! the same refinement property as the batch engine's — certifiable by
-//! `nt_sgt::certify_recorded` across a process boundary.
+//! [`SessionEngine::history_snapshot`] merges to a recorded history that
+//! refines both per-session program order and each object's actual
+//! serialization — certifiable by `nt_sgt::certify_recorded`, in process
+//! or across a process boundary.
 
 use crate::detector::scan_once;
 pub use crate::detector::Victim;
@@ -312,7 +317,8 @@ impl SessionEngine {
         Ok(engine)
     }
 
-    /// Stop the detector thread (idempotent). Called on server drain.
+    /// Stop the detector thread (idempotent). Called on server drain and
+    /// at the end of a batch run.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.detector.lock().expect("detector poisoned").take() {
@@ -320,7 +326,22 @@ impl SessionEngine {
         }
     }
 
-    /// Open a fresh session (one per client connection).
+    /// Abandon all in-flight work (the batch driver's wall-clock
+    /// watchdog): doom every incomplete top-level transaction and put the
+    /// lock table in give-up mode, which wakes every shard so parked
+    /// acquires return `Doomed` — and so will every later one. Each
+    /// session aborts its doomed subtrees at its next operation.
+    pub fn give_up(&self) {
+        for i in 1..self.tree.len() {
+            let t = TxId(i as u32);
+            if self.tree.parent(t) == Some(TxId::ROOT) && !self.status.is_complete(t) {
+                self.status.mark_doomed(t);
+            }
+        }
+        self.table.give_up();
+    }
+
+    /// Open a fresh session (one per client connection or batch worker).
     pub fn open_session(self: &Arc<Self>) -> Session {
         let mut session_log = match &self.sink {
             Some(s) => WorkerLog::with_sink(Arc::clone(s)),
@@ -462,9 +483,8 @@ impl Drop for SessionEngine {
 }
 
 /// One client's handle: owns the top-level transactions it began and the
-/// lock bookkeeping for their subtrees (mirroring the batch engine's
-/// per-worker `held` map — a session drives its subtrees itself, so the
-/// bookkeeping needs no sharing).
+/// lock bookkeeping for their subtrees (a session drives its subtrees
+/// itself, so the bookkeeping needs no sharing).
 pub struct Session {
     engine: Arc<SessionEngine>,
     log: Arc<Mutex<WorkerLog>>,
@@ -539,8 +559,7 @@ impl Session {
     }
 
     /// `ABORT(v)`, discard every lock a descendant-or-self of `v` holds
-    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)` — the batch worker's
-    /// `abort_tx`, driven from a session.
+    /// (`INFORM_ABORT` per object), `REPORT_ABORT(v)`.
     fn abort_subtree(&mut self, v: TxId) {
         self.engine.status.mark_aborted(v);
         self.record(Action::Abort(v));

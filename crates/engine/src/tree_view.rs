@@ -1,9 +1,9 @@
 //! The read-side tree interface the lock table, status table, and deadlock
 //! detector actually need — factored out of [`TxTree`] so the same
-//! machinery serves both the batch engine (a frozen `Arc<TxTree>` known
-//! before the run) and the networked session engine (a
+//! machinery serves both the session engine (a
 //! [`SessionTree`](crate::session_tree::SessionTree) that *grows* while
-//! transactions are in flight).
+//! transactions are in flight) and a frozen `Arc<TxTree>` known up front
+//! (tests driving the lock table directly).
 //!
 //! All queries concern nodes that already exist, and both implementations
 //! are append-only: a node's parent, depth, and kind never change after

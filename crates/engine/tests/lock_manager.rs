@@ -196,11 +196,15 @@ fn two_party_deadlock_is_detected_and_victim_salvaged() {
         );
         assert_eq!(r.committed_top + r.aborted_top, 2);
         if !r.victims.is_empty() {
-            // The victim must be one of the two original lanes, and its
-            // slot must have been salvaged by the replica (retried, then
-            // committed) unless the replica itself fell to a second cycle.
+            // Every victim must be a whole lane — a top-level transaction
+            // of the executed tree (victims carry its ids, not the plan's)
+            // — and its slot must have been salvaged by the replica
+            // (retried, then committed) unless the replica itself fell to
+            // a second cycle.
             assert!(
-                r.victims.iter().all(|v| [a, b, a2, b2].contains(&v.victim)),
+                r.victims
+                    .iter()
+                    .all(|v| r.tree.parent(v.victim) == Some(TxId::ROOT)),
                 "unexpected victim set {:?}",
                 r.victims
             );

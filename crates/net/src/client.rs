@@ -17,7 +17,7 @@ use crate::wire::{
 };
 use nt_faults::BackoffPolicy;
 use nt_model::{Action, Op, TxTree};
-use nt_obs::{Event, MetricsRegistry, Stamped};
+use nt_obs::{Event, Stamped};
 use nt_serial::{ObjectTypes, RwRegister};
 use nt_sgt::{certify_recorded, ConflictSource, RecordedCertificate};
 use nt_telemetry::HistSnapshot;
@@ -84,8 +84,6 @@ pub struct Conn {
     conn_id: u64,
     /// Resends performed (observability).
     pub retries: u64,
-    /// Client-side request metrics (`net_request_us` histogram).
-    pub metrics: MetricsRegistry,
     /// Per-request round-trip latency as a log-linear histogram
     /// (mergeable across connections, p50/p95/p99-capable).
     pub req_hist: HistSnapshot,
@@ -124,7 +122,6 @@ impl Conn {
             cfg,
             conn_id,
             retries: 0,
-            metrics: MetricsRegistry::new(),
             req_hist: HistSnapshot::new(),
             journal: Vec::new(),
             jseq: 0,
@@ -229,7 +226,6 @@ impl Conn {
             if let Some(resp) = self.got.remove(&seq) {
                 if let Some(inf) = self.in_flight.remove(&seq) {
                     let us = inf.sent_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    self.metrics.observe("net_request_us", us);
                     self.req_hist.observe(us);
                 }
                 return Ok(resp);
